@@ -28,18 +28,17 @@ def _cmd_solve(args):
     cfg = driver.DriverConfig(
         P=args.security, mode=args.mode, practical_prime_bits=args.prime_bits,
         seed=args.seed, forced_p=args.force_p, forced_p2=args.force_p2,
-        emit_stats=args.stats,
         task="primary_at_origin" if args.primary else "full_gb")
     F = _load_system(args.file)
     report = driver._run(F, cfg)
     out = driver.emit_report(report, args.format)
     sys.stdout.write(out)
     if args.stats and args.format == "text":
-        sys.stdout.write("# p=%d p'=%d k=%d iterations=%d rounds=%d delta=%d "
-                         "height=%.4f\n" % (report.p, report.p_prime,
-                                            report.precision_k, report.iterations,
-                                            report.rounds, report.delta,
-                                            report.height_nats))
+        sys.stdout.write("# seed=%d p=%d p'=%d k=%d iterations=%d rounds=%d "
+                         "delta=%d height=%.4f\n" % (
+                             report.seed, report.p, report.p_prime,
+                             report.precision_k, report.iterations,
+                             report.rounds, report.delta, report.height_nats))
         for phase, secs in report.timings.items():
             sys.stdout.write("# time[%s]=%.3fs\n" % (phase, secs))
     return 0
@@ -80,7 +79,10 @@ def build_parser():
                        help="basis of the primary component at the origin")
     solve.add_argument("--security", type=int, default=20, metavar="P")
     solve.add_argument("--mode", choices=("paper", "practical"), default="practical")
-    solve.add_argument("--prime-bits", type=int, default=62, metavar="N")
+    solve.add_argument("--prime-bits", type=int, default=31, metavar="N",
+                       help="bit size of the practical-mode primes (default "
+                            "31: below 2^31 the mod-p kernel works in int64; "
+                            "wider primes run on Python ints)")
     solve.add_argument("--seed", type=int, default=None, metavar="S")
     solve.add_argument("--force-p", type=int, default=None, metavar="N")
     solve.add_argument("--force-p2", type=int, default=None, metavar="N")

@@ -22,7 +22,7 @@ from . import bounds as bounds_mod
 from . import coords, groebner_engine, lifting, oracle, primes
 from .groebner_engine import DeltaCase, NotZeroDimensionalError
 from .rings import (ZZ, QQ, BiPoly, GF, NonInvertibleError, height,
-                    reduce_mod)
+                    reduce_mod, str_to_int)
 from .sylvester import RankDeficientError
 
 
@@ -48,12 +48,11 @@ class RetriesExhaustedError(RuntimeError):
 class DriverConfig:
     P: int = 20
     mode: str = "practical"            # "paper" or "practical"
-    practical_prime_bits: int = 62
+    practical_prime_bits: int = 31     # below 2^31 the int64 kernel runs
     seed: int = None
     forced_p: int = None
     forced_p2: int = None
     task: str = "full_gb"              # or "primary_at_origin"
-    emit_stats: bool = False
     max_rounds: int = 16
 
     def __post_init__(self):
@@ -78,6 +77,7 @@ class RunReport:
     height_nats: float
     gamma: coords.Coords2x2
     task: str
+    seed: int                          # drawn by the run when none was given
     bound_report: object = None
     timings: dict = field(default_factory=dict)
 
@@ -106,7 +106,7 @@ def _tokenize(text, lineno):
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
-            out.append(("int", int(text[i:j]), i + 1))
+            out.append(("int", str_to_int(text[i:j]), i + 1))
             i = j
             continue
         if ch in ("x", "y"):
@@ -301,7 +301,10 @@ def _run(F, cfg):
         F = [f for f in F if not f.is_zero]
         if len(F) < 2:
             raise ValueError("need at least two nonzero generators")
-    rng = random.Random(cfg.seed)
+    seed = cfg.seed
+    if seed is None:
+        seed = random.SystemRandom().getrandbits(63)
+    rng = random.Random(seed)
     # a maximal-degree generator is reindexed first: the Noether check
     # targets the transform of h_1
     d = max(f.total_degree for f in F)
@@ -388,7 +391,7 @@ def _run(F, cfg):
             iterations=iterations, rounds=rnd + 1,
             delta=len(state.staircase), basis_size=len(accepted),
             height_nats=max(hs) if hs else 0.0,
-            gamma=gamma, task=cfg.task, bound_report=breport,
+            gamma=gamma, task=cfg.task, seed=seed, bound_report=breport,
             timings=dict(timings))
     if failures and all(kind == "dimension" for kind, _ in failures):
         raise PositiveDimensionalError(
@@ -421,6 +424,7 @@ def emit_report(report, fmt="text"):
     payload = {
         "basis": [str(g) for g in report.basis],
         "primes": [report.p, report.p_prime],
+        "seed": report.seed,
         "precision_k": report.precision_k,
         "iterations": report.iterations,
         "rounds": report.rounds,

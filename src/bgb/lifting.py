@@ -8,6 +8,11 @@ modulo p, and every doubling step runs a Hensel/Dixon solve of the scaled
 residual against that single factorization, digit by digit.  A digit that
 fails its consistency rows means the prime is unlucky and the caller
 restarts with fresh primes.
+
+All mod-p linear algebra goes through one kernel, _ModRREF: a single numpy
+elimination whose dtype is chosen from p, int64 for p < 2^31 (the practical
+default) and Python-int objects for larger primes (paper mode, or wider
+practical primes).
 """
 
 from __future__ import annotations
@@ -20,8 +25,7 @@ import numpy as np
 
 from .rings import QQ, BiPoly, GF, Zpk, rational_mod, NonInvertibleError
 
-_NUMPY_ELIM_MAX_P = 1 << 31    # row operations stay within int64
-_NUMPY_DOT_MAX_P = 1 << 25     # dot products stay within int64
+_INT64_MAX_P = 1 << 31   # below it, a product of two residues fits int64
 _MAX_CELLS = 3_000_000
 
 
@@ -44,96 +48,61 @@ def staircase_of(lts):
 
 class _ModRREF:
     """Reduced row echelon form mod p of an integer matrix, with the row
-    transform retained so later right-hand sides reuse the elimination."""
+    transform T retained so later right-hand sides reuse the elimination.
+
+    One elimination runs on a numpy array whose dtype follows p: int64 when
+    p < 2^31, so that the product of two residues fits a word, and object
+    (Python ints) for larger primes."""
 
     def __init__(self, rows, p):
         self.p = p
-        self.R = len(rows)
-        self.C = len(rows[0]) if rows else 0
-        if p < _NUMPY_ELIM_MAX_P:
-            self._init_numpy(rows)
-        else:
-            self._init_python(rows)
-
-    def _init_numpy(self, rows):
-        p = self.p
-        R, C = self.R, self.C
-        A = np.zeros((R, C + R), dtype=np.int64)
-        if R:
-            if C:
-                A[:, :C] = np.array(rows, dtype=np.int64) % p
-            A[:, C:] = np.eye(R, dtype=np.int64)
+        self.dtype = np.int64 if p < _INT64_MAX_P else object
+        self.R = R = len(rows)
+        self.C = C = len(rows[0]) if R else 0
+        A = np.zeros((R, C + R), dtype=self.dtype)
+        # reduced as Python ints first: raw entries need not fit a word
+        A[:, :C] = np.array(rows, dtype=object).reshape(R, C) % p
+        A[np.arange(R), C + np.arange(R)] = 1
         pivcols = []
         r = 0
         for c in range(C):
             if r == R:
                 break
-            nz = np.nonzero(A[r:, c])[0]
+            nz = np.flatnonzero(A[r:, c])
             if nz.size == 0:
                 continue
             s = r + int(nz[0])
             if s != r:
                 A[[r, s]] = A[[s, r]]
+            # rows r.. vanish left of column c, so updates start at c
             inv = pow(int(A[r, c]), -1, p)
             if inv != 1:
-                A[r] = (A[r] * inv) % p
+                A[r, c:] = A[r, c:] * inv % p
             col = A[:, c].copy()
             col[r] = 0
-            nzr = np.nonzero(col)[0]
+            nzr = np.flatnonzero(col)
             if nzr.size:
-                A[nzr] = (A[nzr] - np.outer(col[nzr], A[r])) % p
+                A[nzr, c:] = (A[nzr, c:] - np.outer(col[nzr], A[r, c:])) % p
             pivcols.append(c)
             r += 1
         self.rank = r
         self.pivcols = pivcols
         self.T = A[:, C:]
-        self._np = True
 
-    def _init_python(self, rows):
+    def dot(self, M, vec):
+        """M . vec mod p for M with entries in [0, p) and this dtype.  In
+        int64 vec is split into 16-bit halves, which keeps every partial sum
+        below 2^63 while M has fewer than 2^16 columns (a T that wide would
+        hold 2^32 words)."""
         p = self.p
-        R, C = self.R, self.C
-        A = [[x % p for x in row] + [0] * R for row in rows]
-        for i in range(R):
-            A[i][C + i] = 1
-        pivcols = []
-        r = 0
-        for c in range(C):
-            if r == R:
-                break
-            s = next((i for i in range(r, R) if A[i][c]), None)
-            if s is None:
-                continue
-            A[r], A[s] = A[s], A[r]
-            inv = pow(A[r][c], -1, p)
-            if inv != 1:
-                A[r] = [(x * inv) % p for x in A[r]]
-            piv = A[r]
-            for i in range(R):
-                f = A[i][c]
-                if f and i != r:
-                    A[i] = [(x - f * y) % p for x, y in zip(A[i], piv)]
-            pivcols.append(c)
-            r += 1
-        self.rank = r
-        self.pivcols = pivcols
-        self.T = [row[C:] for row in A]
-        self._np = False
+        v = (np.array(vec, dtype=object) % p).astype(self.dtype)
+        if self.dtype is object:
+            return M @ v % p
+        return (M @ (v >> 16) % p * 65536 + M @ (v & 0xFFFF)) % p
 
     def transform(self, vec):
-        """T . vec mod p as a Python list."""
-        p = self.p
-        if self._np and p < _NUMPY_DOT_MAX_P:
-            v = np.array(vec, dtype=np.int64) % p
-            return [int(x) for x in (self.T @ v) % p]
-        T = self.T
-        idx = [j for j, x in enumerate(vec) if x]
-        return [sum(int(T[i][j]) * vec[j] for j in idx) % p for i in range(self.R)]
-
-    def t_column(self, j):
-        """Column j of T, i.e. the transform of a unit vector."""
-        if self._np:
-            return [int(x) for x in self.T[:, j]]
-        return [row[j] for row in self.T]
+        """T . vec mod p as a list of ints."""
+        return self.dot(self.T, vec).tolist()
 
     def solve_transformed(self, u):
         """Solution x of A x = rhs given u = T . rhs; None if inconsistent."""
@@ -155,7 +124,7 @@ class _ElementSystem:
     lt: tuple
     tail: list            # standard monomials lex-below lt
     tail_rows: list       # row index of each tail monomial
-    tcols: list           # cached T columns for the tail rows
+    tcols: np.ndarray     # T restricted to the tail rows' columns
     small: _ModRREF       # consistency system pinning the tail digits
     w: list               # cofactor unknowns, canonical mod p^k
     c: list               # tail unknowns, canonical mod p^k
@@ -227,33 +196,17 @@ def _element_basis_poly(ring, lt, tail, c):
     return BiPoly.from_terms(ring, terms)
 
 
-def _pin_element(sys, lt, tail):
-    """Assemble and solve one element's system mod p; None if the current
-    window cannot express the element."""
+def _solve_digit(sys, small, tcols, u):
+    """Solve M w - C c = v mod p given u = T . v: the tail part c from the
+    consistency rows of u, then w from its pivot rows once the tail columns
+    are folded in.  Returns (w, c), or None when v is inconsistent."""
     rref = sys.rref
-    p = sys.p
-    tail_rows = [sys.row_of(m) for m in tail]
-    tcols = [rref.t_column(tr) for tr in tail_rows]
-    nrows = rref.R - rref.rank
-    small_rows = [[tc[rref.rank + i] for tc in tcols] for i in range(nrows)]
-    small = _ModRREF(small_rows, p)
-    if small.rank < len(tail):
-        raise UnluckyPrimeError("tail coefficients are not pinned mod %d" % p)
-    u = rref.t_column(sys.row_of(lt))
-    neg_uN = [(-x) % p for x in u[rref.rank:]]
-    c = small.solve_transformed(small.transform(neg_uN))
+    c = small.solve_transformed(small.transform([-x for x in u[rref.rank:]]))
     if c is None:
         return None
-    up = list(u)
-    for coef, tc in zip(c, tcols):
-        if coef:
-            for i in range(rref.R):
-                up[i] = (up[i] + coef * tc[i]) % p
-    w = rref.solve_transformed(up)
-    if w is None:
-        return None
-    return _ElementSystem(lt=lt, tail=tail, tail_rows=tail_rows, tcols=tcols,
-                          small=small, w=w, c=c, rh=None)
+    up = (np.array(u, dtype=rref.dtype) + rref.dot(tcols, c)) % sys.p
+    w = rref.solve_transformed(up.tolist())
+    return None if w is None else (w, c)
 
 
 def _exact_residual(sys, elem, power):
@@ -302,50 +255,35 @@ def init_lift(F, p, G1):
         if level > 0 and R * (R + len(F) * D_w * (X + 1)) > _MAX_CELLS:
             break
         sys = _MembershipSystem(F, p, D_w, X)
+        rref = sys.rref
         elements = []
         for g in G1:
             lt = g.lt()[0]
             tail = [m for m in stair if _lex_smaller(m, lt)]
-            try:
-                elem = _pin_element(sys, lt, tail)
-            except UnluckyPrimeError:
-                elem = None  # window too narrow to pin the tail; escalate
-            if elem is None:
-                elements = None
-                break
-            for mon, coef in zip(tail, elem.c):
-                if g.coeff(*mon) != coef % p:
+            tail_rows = [sys.row_of(m) for m in tail]
+            tcols = rref.T[:, tail_rows]
+            small = _ModRREF(tcols[rref.rank:], p)
+            sol = None
+            if small.rank == len(tail):
+                sol = _solve_digit(sys, small, tcols,
+                                   rref.T[:, sys.row_of(lt)].tolist())
+            if sol is None:
+                break  # window too narrow to pin the element; escalate
+            w, c = sol
+            for mon, coef in zip(tail, c):
+                if g.coeff(*mon) != coef:
                     raise UnluckyPrimeError(
                         "solved tail disagrees with the given modular basis")
+            elem = _ElementSystem(lt=lt, tail=tail, tail_rows=tail_rows,
+                                  tcols=tcols, small=small, w=w, c=c, rh=None)
             elem.rh = _exact_residual(sys, elem, 1)
             elements.append(elem)
-        if elements is not None:
+        else:
             ring = Zpk(p, 1)
             basis = [_element_basis_poly(ring, e.lt, e.tail, e.c) for e in elements]
             return LiftState(p=p, k=1, basis=basis, staircase=stair,
                              trivial=False, sys=sys, elements=elements)
     raise UnluckyPrimeError("membership system inconsistent at every window level")
-
-
-def _digit_solve(sys, elem, r_mod):
-    """One Dixon digit: solve M dw - C dc = r mod p against the stored
-    factorizations; raises UnluckyPrimeError on inconsistency."""
-    rref = sys.rref
-    p = sys.p
-    u = rref.transform(r_mod)
-    neg_uN = [(-x) % p for x in u[rref.rank:]]
-    dc = elem.small.solve_transformed(elem.small.transform(neg_uN))
-    if dc is None:
-        raise UnluckyPrimeError("digit consistency rows failed")
-    up = u
-    for coef, tc in zip(dc, elem.tcols):
-        if coef:
-            for i in range(rref.R):
-                up[i] = (up[i] + coef * tc[i]) % p
-    dw = rref.solve_transformed(up)
-    if dw is None:
-        raise UnluckyPrimeError("digit pivot rows failed")
-    return dw, dc
 
 
 def lift_step(state):
@@ -365,7 +303,11 @@ def lift_step(state):
         Dc = [0] * len(elem.tail)
         scale = 1
         for _ in range(k):
-            dw, dc = _digit_solve(sys, elem, [x % p for x in rh])
+            sol = _solve_digit(sys, elem.small, elem.tcols,
+                               sys.rref.transform(rh))
+            if sol is None:
+                raise UnluckyPrimeError("digit inconsistent mod %d" % p)
+            dw, dc = sol
             mw = sys.matvec(dw)
             for i in range(sys.R):
                 rh[i] -= mw[i]

@@ -609,6 +609,38 @@ class BiPoly:
         return "BiPoly(%r, %s)" % (self.ring, format_bipoly(self))
 
 
+_DIGIT_CHUNK = 4000    # below CPython's default int <-> str limit of 4300 digits
+_CHUNK_BOUND = 10 ** _DIGIT_CHUNK
+
+
+def int_to_str(n):
+    """Decimal string of an int of any length, converted in chunks small
+    enough for str()."""
+    if n < 0:
+        return "-" + int_to_str(-n)
+    if n < _CHUNK_BOUND:
+        return str(n)
+    m = n.bit_length() * 3 // 20  # about half the decimal digits
+    hi, lo = divmod(n, 10 ** m)
+    return int_to_str(hi) + int_to_str(lo).zfill(m)
+
+
+def str_to_int(digits):
+    """The int of a decimal digit string of any length, converted in chunks
+    small enough for int()."""
+    if len(digits) <= _DIGIT_CHUNK:
+        return int(digits)
+    m = len(digits) // 2
+    return str_to_int(digits[:-m]) * 10 ** m + str_to_int(digits[-m:])
+
+
+def _coeff_str(c):
+    if isinstance(c, Fraction):
+        num = int_to_str(c.numerator)
+        return num if c.denominator == 1 else num + "/" + int_to_str(c.denominator)
+    return int_to_str(c) if isinstance(c, int) else str(c)
+
+
 def format_bipoly(f):
     """Render with terms in decreasing lex order, e.g. 'x^4 - 1/2*x'."""
     if f.is_zero:
@@ -626,7 +658,7 @@ def format_bipoly(f):
         if b:
             factors.append("y" if b == 1 else "y^%d" % b)
         if not factors or mag != 1:
-            factors.insert(0, str(mag))
+            factors.insert(0, _coeff_str(mag))
         parts.append((sign, "*".join(factors)))
     first_sign, first = parts[0]
     out = ("-" if first_sign == "-" else "") + first

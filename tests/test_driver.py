@@ -99,6 +99,38 @@ def test_too_few_generators():
         groebner_basis_main(ppl("x"), DriverConfig(seed=1, **CFG))
 
 
+def test_coefficients_above_int64():
+    # raw coefficients >= 2^63 must be reduced mod p before any word cast
+    F = ppl("y - 36893488147419103233*x\nx^2 - 3")
+    r = groebner_basis_main(F, DriverConfig(seed=1, **CFG))
+    assert gb_equal(r.basis, [f.map_coeffs(Fraction, QQ) for f in F])
+
+
+def test_long_coefficients_round_trip(tmp_path, capsys):
+    # beyond CPython's 4300-digit int <-> str limit, in and out
+    big = "9" * 4000 + "0" * 999 + "7"
+    f = tmp_path / "sys.txt"
+    f.write_text("x - %s\ny - 1\n" % big)
+    assert cli.main(["solve", str(f), "--seed", "3"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines() == ["y - 1", "x - " + big]
+    assert parse_system(out) == parse_system(f.read_text())[::-1]
+
+
+def test_seed_is_drawn_and_reported(tmp_path, capsys):
+    F = ppl("2*y^2 - x\nx^2 - y")
+    r = groebner_basis_main(F, DriverConfig(**CFG))
+    assert isinstance(r.seed, int)
+    again = groebner_basis_main(F, DriverConfig(seed=r.seed, **CFG))
+    assert (again.seed, again.p, again.p_prime, again.gamma) == \
+           (r.seed, r.p, r.p_prime, r.gamma)
+    assert json.loads(emit_report(r, "json"))["seed"] == r.seed
+    f = tmp_path / "sys.txt"
+    f.write_text("2*y^2 - x\nx^2 - y\n")
+    assert cli.main(["solve", str(f), "--seed", "12", "--stats"]) == 0
+    assert "# seed=12 p=" in capsys.readouterr().out
+
+
 def test_emit_formats():
     r = groebner_basis_main(ppl("2*y^2 - x\nx^2 - y"), DriverConfig(seed=2, **CFG))
     text = emit_report(r, "text")
@@ -106,6 +138,7 @@ def test_emit_formats():
     payload = json.loads(emit_report(r, "json"))
     assert payload["basis"] == ["y - x^2", "x^4 - 1/2*x"]
     assert payload["primes"] == [r.p, r.p_prime]
+    assert payload["seed"] == 2
     assert payload["delta"] == 4
     assert "bounds" in payload and payload["bounds"]["A1"] > 0
 

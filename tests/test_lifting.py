@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from bgb import oracle
-from bgb.lifting import (UnluckyPrimeError, init_lift, lift_step,
+from bgb.lifting import (_MAX_CELLS, UnluckyPrimeError, _ModRREF, init_lift,
+                         lift_step,
                          rational_reconstruct, reconstruct_basis, staircase_of,
                          verify_with_witness)
 from bgb.rings import ZZ, QQ, GF, BiPoly, Zpk, reduce_mod
@@ -14,6 +15,116 @@ from conftest import gb_equal, pp, ppl, random_degree_system
 
 def _modular_gb(F, p):
     return oracle.buchberger([reduce_mod(f, GF(p)) for f in F])
+
+
+class _RefRREF:
+    """Pure-Python reduced row echelon form mod p with the row transform T:
+    the reference the numpy kernel must match exactly."""
+
+    def __init__(self, rows, p):
+        self.p = p
+        self.R = R = len(rows)
+        self.C = C = len(rows[0]) if rows else 0
+        A = [[x % p for x in row] + [0] * R for row in rows]
+        for i in range(R):
+            A[i][C + i] = 1
+        pivcols = []
+        r = 0
+        for c in range(C):
+            if r == R:
+                break
+            s = next((i for i in range(r, R) if A[i][c]), None)
+            if s is None:
+                continue
+            A[r], A[s] = A[s], A[r]
+            inv = pow(A[r][c], -1, p)
+            if inv != 1:
+                A[r] = [(x * inv) % p for x in A[r]]
+            piv = A[r]
+            for i in range(R):
+                f = A[i][c]
+                if f and i != r:
+                    A[i] = [(x - f * y) % p for x, y in zip(A[i], piv)]
+            pivcols.append(c)
+            r += 1
+        self.rank = r
+        self.pivcols = pivcols
+        self.T = [row[C:] for row in A]
+
+    def transform(self, vec):
+        p = self.p
+        idx = [j for j, x in enumerate(vec) if x]
+        return [sum(self.T[i][j] * vec[j] for j in idx) % p for i in range(self.R)]
+
+    def solve_transformed(self, u):
+        p = self.p
+        if any(x % p for x in u[self.rank:]):
+            return None
+        x = [0] * self.C
+        for i, c in enumerate(self.pivcols):
+            x[c] = u[i] % p
+        return x
+
+
+def _random_matrix(rng, R, C, rank, p):
+    """R x C integer matrix of rank at most `rank`, with negative entries,
+    entries at least p and entries at least 2^63."""
+    def entry():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return rng.randint(-(1 << 70), 1 << 70)
+        if kind == 1:
+            return rng.randint(-p, 3 * p)
+        return rng.randint(-9, 9)
+    basis = [[entry() for _ in range(C)] for _ in range(rank)]
+    rows = []
+    for _ in range(R):
+        coefs = [rng.randint(-3, 3) for _ in range(rank)]
+        rows.append([sum(a * b[j] for a, b in zip(coefs, basis)) + p * entry()
+                     for j in range(C)])
+    return rows
+
+
+def _assert_kernel_matches(rng, rows, p, vectors=3):
+    got, want = _ModRREF(rows, p), _RefRREF(rows, p)
+    assert (got.rank, got.pivcols) == (want.rank, want.pivcols)
+    assert got.T.tolist() == want.T
+    for _ in range(vectors):
+        vec = [rng.randint(-(1 << 80), 1 << 80) for _ in range(want.R)]
+        u = want.transform(vec)
+        assert got.transform(vec) == u
+        assert got.solve_transformed(u) == want.solve_transformed(u)
+        # a right-hand side in the span is consistent
+        x = [rng.randrange(p) for _ in range(want.C)]
+        rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+        u = want.transform(rhs)
+        assert got.transform(rhs) == u
+        assert got.solve_transformed(u) == want.solve_transformed(u) is not None
+
+
+@pytest.mark.parametrize("p", [2, 7, (1 << 31) - 1, (1 << 61) - 1, (1 << 100) - 15])
+def test_kernel_matches_reference(p):
+    rng = random.Random(p % 1000003)
+    shapes = [(0, 0), (1, 1), (3, 3), (6, 6), (9, 4), (4, 9), (12, 12),
+              (15, 7), (7, 15), (20, 20)]
+    for R, C in shapes:
+        for rank in sorted({0, min(R, C) // 2, min(R, C)}):
+            _assert_kernel_matches(rng, _random_matrix(rng, R, C, rank, p), p)
+
+
+def test_kernel_matches_reference_near_cell_limit():
+    # at the int64 edge p = 2^31 - 1, with as many rows as the cell budget
+    # allows; 70 live rows give T rows with dozens of nonzero residues, so
+    # T . v overflows int64 unless the dot product splits its operands
+    p = (1 << 31) - 1
+    rng = random.Random(31)
+    C = 60
+    R = next(r for r in range(2000, 0, -1) if r * (r + C) <= _MAX_CELLS)
+    rows = [[0] * C for _ in range(R)]
+    live = _random_matrix(rng, C + 10, C, C, p)
+    for i, row in zip(rng.sample(range(R), C + 10), live):
+        rows[i] = row
+    _assert_kernel_matches(rng, rows, p, vectors=1)
 
 
 def test_staircase():

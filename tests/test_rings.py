@@ -5,7 +5,8 @@ import pytest
 from fractions import Fraction
 
 from bgb.rings import (ZZ, QQ, GF, Zpk, BiPoly, UniPoly, NonInvertibleError,
-                       canonical_lift, height, reduce_mod)
+                       canonical_lift, height, int_to_str, reduce_mod,
+                       str_to_int)
 from conftest import pp, random_bipoly
 
 RINGS = [ZZ, QQ, GF(5), GF(32003), Zpk(5, 3)]
@@ -137,6 +138,24 @@ def test_bipoly_eval_and_str():
     assert str(pp("x^4 - 2*y")) == "-2*y + x^4"  # decreasing lex, y major
     assert str(pp("x^4 - y*y")) == "-y^2 + x^4"
     assert str(BiPoly.zero(ZZ)) == "0"
+    # coefficients past CPython's 4300-digit int <-> str limit
+    num, den = 10 ** 5000 + 1, 3 ** 9000
+    f = BiPoly.from_terms(QQ, {(1, 0): 1, (0, 0): Fraction(-num, den)})
+    assert str(f) == "x - 1" + "0" * 4999 + "1/" + int_to_str(den)
+
+
+def test_int_str_conversions():
+    rng = random.Random(13)
+    for digits in (1, 9, 4000, 4001, 4300, 4301, 9000, 20000):
+        s = str(rng.randint(1, 9)) + "".join(
+            rng.choice("0123456789") for _ in range(digits - 1))
+        n = str_to_int(s)
+        assert n.bit_length() >= 3 * (digits - 1)
+        assert int_to_str(n) == s and int_to_str(-n) == "-" + s
+        if digits <= 4300:
+            assert n == int(s)
+    assert str_to_int("0" * 5000 + "12") == 12
+    assert int_to_str(10 ** 8000) == "1" + "0" * 8000
 
 
 def test_unipoly_inverse_mod_xk():
