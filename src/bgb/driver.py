@@ -248,23 +248,18 @@ def _pick_primes(cfg, rng, report):
     if cfg.mode == "paper":
         if report is None:
             raise ValueError("paper mode needs computable interval bounds")
-        p = primes.random_prime_in(report.B + 1, 2 * report.B, rng)
-        for _ in range(64):
-            pp = primes.random_prime_in(report.B_prime + 1, 2 * report.B_prime, rng)
-            if pp != p:
-                break
-        else:
-            raise RuntimeError("could not draw two distinct primes")
+        first = (report.B + 1, 2 * report.B)
+        second = (report.B_prime + 1, 2 * report.B_prime)
     else:
-        lo = 1 << (cfg.practical_prime_bits - 1)
-        hi = (1 << cfg.practical_prime_bits) - 1
-        p = primes.random_prime_in(lo, hi, rng)
-        for _ in range(64):
-            pp = primes.random_prime_in(lo, hi, rng)
-            if pp != p:
-                break
-        else:
-            raise RuntimeError("could not draw two distinct primes")
+        first = second = (1 << (cfg.practical_prime_bits - 1),
+                          (1 << cfg.practical_prime_bits) - 1)
+    p = primes.random_prime_in(*first, rng)
+    for _ in range(64):
+        pp = primes.random_prime_in(*second, rng)
+        if pp != p:
+            break
+    else:
+        raise RuntimeError("could not draw two distinct primes")
     if cfg.forced_p is not None:
         p = cfg.forced_p
     if cfg.forced_p2 is not None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import normal_forms, sylvester
-from .rings import BiPoly, UniPoly, canonical_lift
+from .rings import BiPoly, UniPoly
 
 
 class NotZeroDimensionalError(ValueError):

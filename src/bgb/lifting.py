@@ -1,13 +1,16 @@
 """p-adic lifting of a Groebner basis, rational reconstruction, witness test.
 
-Each basis element g is pinned by the linear system "g equals its leading
-term plus an unknown tail supported on standard monomials, AND g lies in
-the column span of the extended Sylvester matrix of the generators".  The
-system matrix has integer entries fixed once; init_lift echelonizes it
-modulo p, and every doubling step runs a Hensel/Dixon solve of the scaled
-residual against that single factorization, digit by digit.  A digit that
-fails its consistency rows means the prime is unlucky and the caller
-restarts with fresh primes.
+The whole basis shares one membership system: "g equals its leading term
+plus an unknown combination c of the standard monomials, AND g lies in the
+column span of the extended Sylvester matrix of the generators".  The ideal
+holds exactly one such element per leading term, the reduced basis element,
+so c comes out zero above lt(g) by itself.  The system matrix has integer
+entries fixed once; init_lift echelonizes it modulo p, together with one
+consistency system over the staircase, and every doubling step runs a
+Hensel/Dixon solve (Dixon, Numer. Math. 1982) of the exact residual
+against that single factorization, digit by digit, for every element.  A
+digit that fails its consistency rows means the prime is unlucky and the
+caller restarts with fresh primes.
 
 All mod-p linear algebra goes through one kernel, _ModRREF: a single numpy
 elimination whose dtype is chosen from p, int64 for p < 2^31 (the practical
@@ -115,60 +118,76 @@ class _ModRREF:
         return x
 
 
-def _lex_smaller(mon, lt):
-    return (mon[1], mon[0]) < (lt[1], lt[0])
-
-
 @dataclass
 class _ElementSystem:
     lt: tuple
-    tail: list            # standard monomials lex-below lt
-    tail_rows: list       # row index of each tail monomial
-    tcols: np.ndarray     # T restricted to the tail rows' columns
-    small: _ModRREF       # consistency system pinning the tail digits
     w: list               # cofactor unknowns, canonical mod p^k
-    c: list               # tail unknowns, canonical mod p^k
-    rh: list              # exact integer residual (v - M w + C c) / p^k
+    c: list               # staircase unknowns, canonical mod p^k
+    rh: list              # exact integer residual (e_lt - M w + C c) / p^k
 
 
 class _MembershipSystem:
-    """Shared Sylvester-membership matrix for all basis elements: columns
-    are the coefficients of x^a y^b f_j, rows are monomials."""
+    """The one linear system every basis element solves: [M | -C] (w, c) =
+    e_lt, where M is the Sylvester-membership matrix (columns are the
+    coefficients of x^a y^b f_j, rows are monomials) and C holds the unit
+    columns of the standard monomials.  Its solution is the element of the
+    ideal with leading term lt whose other terms lie on the staircase: the
+    reduced basis element, so c vanishes above lt by itself."""
 
-    def __init__(self, gens, p, D_w, X):
-        self.gens = gens
+    def __init__(self, gens, p, D_w, X, stair):
         self.p = p
-        self.D_w = D_w
-        self.X = X
-        self.d_y = max(g.deg_y for g in gens)
-        self.d_x = max(g.deg_x for g in gens)
-        self.NY = self.d_y + D_w
-        self.NX = X + self.d_x + 1
-        self.R = self.NY * self.NX
-        self.col_shifts = [(j, a, b)
-                           for j in range(len(gens))
-                           for b in range(D_w)
-                           for a in range(X + 1)]
-        self.W = len(self.col_shifts)
+        d_y = max(g.deg_y for g in gens)
+        self.NX = X + max(g.deg_x for g in gens) + 1
+        self.R = (d_y + D_w) * self.NX
+        # the (row, coefficient) pairs of each column, x^a y^b f_j
+        self.cols = [[((gb + b) * self.NX + ga + a, int(coef))
+                      for (ga, gb), coef in gens[j].terms()]
+                     for j in range(len(gens))
+                     for b in range(D_w)
+                     for a in range(X + 1)]
+        self.W = len(self.cols)
         rows = [[0] * self.W for _ in range(self.R)]
-        for cidx, (j, a, b) in enumerate(self.col_shifts):
-            for (ga, gb), coef in gens[j].terms():
-                rows[(gb + b) * self.NX + (ga + a)][cidx] = int(coef)
-        self.rref = _ModRREF(rows, p)
+        for cidx, col in enumerate(self.cols):
+            for r, coef in col:
+                rows[r][cidx] = coef
+        self.rref = rref = _ModRREF(rows, p)
+        self.stair_rows = [self.row_of(m) for m in stair]
+        self.tcols = rref.T[:, self.stair_rows]
+        # consistency rows of T pin c; full column rank makes c unique
+        self.small = _ModRREF(self.tcols[rref.rank:], p)
 
     def row_of(self, mon):
         return mon[1] * self.NX + mon[0]
 
-    def matvec(self, w):
-        """Exact integer M . w, exploiting the shift structure of columns."""
-        out = [0] * self.R
-        NX = self.NX
-        for cidx, wj in enumerate(w):
-            if not wj:
-                continue
-            j, a, b = self.col_shifts[cidx]
-            for (ga, gb), coef in self.gens[j].terms():
-                out[(gb + b) * NX + (ga + a)] += int(coef) * wj
+    def solve_digit(self, rh):
+        """Solve M w - C c = rh mod p: c from the consistency rows of
+        u = T . rh, then w from its pivot rows once the staircase columns are
+        folded in.  Returns (w, c), or None when rh is inconsistent."""
+        rref = self.rref
+        u = rref.transform(rh)
+        c = self.small.solve_transformed(
+            self.small.transform([-x for x in u[rref.rank:]]))
+        if c is None:
+            return None
+        up = (np.array(u, dtype=rref.dtype) + rref.dot(self.tcols, c)) % self.p
+        w = rref.solve_transformed(up.tolist())
+        return None if w is None else (w, c)
+
+    def residual(self, rh, w, c):
+        """(rh - M w + C c) / p, exactly; raises if p does not divide it."""
+        out = list(rh)
+        for col, wj in zip(self.cols, w):
+            if wj:
+                for r, coef in col:
+                    out[r] -= coef * wj
+        for r, cm in zip(self.stair_rows, c):
+            out[r] += cm
+        p = self.p
+        for i, x in enumerate(out):
+            q, rem = divmod(x, p)
+            if rem:
+                raise UnluckyPrimeError("membership residual not divisible by p")
+            out[i] = q
         return out
 
 
@@ -187,43 +206,13 @@ class LiftState:
         return Zpk(self.p, self.k)
 
 
-def _element_basis_poly(ring, lt, tail, c):
+def _element_basis_poly(ring, lt, stair, c):
     terms = {lt: 1}
     m = ring.modulus
-    for mon, coef in zip(tail, c):
+    for mon, coef in zip(stair, c):
         if coef % m:
             terms[mon] = coef % m
     return BiPoly.from_terms(ring, terms)
-
-
-def _solve_digit(sys, small, tcols, u):
-    """Solve M w - C c = v mod p given u = T . v: the tail part c from the
-    consistency rows of u, then w from its pivot rows once the tail columns
-    are folded in.  Returns (w, c), or None when v is inconsistent."""
-    rref = sys.rref
-    c = small.solve_transformed(small.transform([-x for x in u[rref.rank:]]))
-    if c is None:
-        return None
-    up = (np.array(u, dtype=rref.dtype) + rref.dot(tcols, c)) % sys.p
-    w = rref.solve_transformed(up.tolist())
-    return None if w is None else (w, c)
-
-
-def _exact_residual(sys, elem, power):
-    """(v - M w + C c) / p^power, exactly; raises if not divisible."""
-    out = sys.matvec(elem.w)
-    for i in range(sys.R):
-        out[i] = -out[i]
-    out[sys.row_of(elem.lt)] += 1
-    for coef, tr in zip(elem.c, elem.tail_rows):
-        out[tr] += coef
-    q = sys.p ** power
-    rh = []
-    for x in out:
-        if x % q:
-            raise UnluckyPrimeError("membership residual not divisible by p^k")
-        rh.append(x // q)
-    return rh
 
 
 def init_lift(F, p, G1):
@@ -254,33 +243,25 @@ def init_lift(F, p, G1):
         R = (d_y + D_w) * (X + d_x + 1)
         if level > 0 and R * (R + len(F) * D_w * (X + 1)) > _MAX_CELLS:
             break
-        sys = _MembershipSystem(F, p, D_w, X)
-        rref = sys.rref
+        sys = _MembershipSystem(F, p, D_w, X, stair)
+        if sys.small.rank < len(stair):
+            continue  # window too narrow to pin the staircase; escalate
         elements = []
         for g in G1:
             lt = g.lt()[0]
-            tail = [m for m in stair if _lex_smaller(m, lt)]
-            tail_rows = [sys.row_of(m) for m in tail]
-            tcols = rref.T[:, tail_rows]
-            small = _ModRREF(tcols[rref.rank:], p)
-            sol = None
-            if small.rank == len(tail):
-                sol = _solve_digit(sys, small, tcols,
-                                   rref.T[:, sys.row_of(lt)].tolist())
+            e_lt = [0] * sys.R
+            e_lt[sys.row_of(lt)] = 1
+            sol = sys.solve_digit(e_lt)
             if sol is None:
-                break  # window too narrow to pin the element; escalate
+                break  # window too narrow to hold the element; escalate
             w, c = sol
-            for mon, coef in zip(tail, c):
-                if g.coeff(*mon) != coef:
-                    raise UnluckyPrimeError(
-                        "solved tail disagrees with the given modular basis")
-            elem = _ElementSystem(lt=lt, tail=tail, tail_rows=tail_rows,
-                                  tcols=tcols, small=small, w=w, c=c, rh=None)
-            elem.rh = _exact_residual(sys, elem, 1)
-            elements.append(elem)
+            if any(g.coeff(*mon) != coef for mon, coef in zip(stair, c)):
+                raise UnluckyPrimeError(
+                    "solved element disagrees with the given modular basis")
+            elements.append(_ElementSystem(lt, w, c, sys.residual(e_lt, w, c)))
         else:
             ring = Zpk(p, 1)
-            basis = [_element_basis_poly(ring, e.lt, e.tail, e.c) for e in elements]
+            basis = [_element_basis_poly(ring, e.lt, stair, e.c) for e in elements]
             return LiftState(p=p, k=1, basis=basis, staircase=stair,
                              trivial=False, sys=sys, elements=elements)
     raise UnluckyPrimeError("membership system inconsistent at every window level")
@@ -298,25 +279,16 @@ def lift_step(state):
     mod2 = pk * pk
     new_elements = []
     for elem in state.elements:
-        rh = list(elem.rh)
+        rh = elem.rh
         Dw = [0] * sys.W
-        Dc = [0] * len(elem.tail)
+        Dc = [0] * len(elem.c)
         scale = 1
         for _ in range(k):
-            sol = _solve_digit(sys, elem.small, elem.tcols,
-                               sys.rref.transform(rh))
+            sol = sys.solve_digit(rh)
             if sol is None:
                 raise UnluckyPrimeError("digit inconsistent mod %d" % p)
             dw, dc = sol
-            mw = sys.matvec(dw)
-            for i in range(sys.R):
-                rh[i] -= mw[i]
-            for coef, tr in zip(dc, elem.tail_rows):
-                rh[tr] += coef
-            for i in range(sys.R):
-                if rh[i] % p:
-                    raise UnluckyPrimeError("digit residual not divisible by p")
-                rh[i] //= p
+            rh = sys.residual(rh, dw, dc)
             for j, x in enumerate(dw):
                 if x:
                     Dw[j] += scale * x
@@ -325,13 +297,13 @@ def lift_step(state):
                     Dc[j] += scale * x
             scale *= p
         new_elements.append(_ElementSystem(
-            lt=elem.lt, tail=elem.tail, tail_rows=elem.tail_rows,
-            tcols=elem.tcols, small=elem.small,
-            w=[(a + pk * b) % mod2 for a, b in zip(elem.w, Dw)],
-            c=[(a + pk * b) % mod2 for a, b in zip(elem.c, Dc)],
-            rh=rh))
+            elem.lt,
+            [(a + pk * b) % mod2 for a, b in zip(elem.w, Dw)],
+            [(a + pk * b) % mod2 for a, b in zip(elem.c, Dc)],
+            rh))
     ring = Zpk(p, 2 * k)
-    basis = [_element_basis_poly(ring, e.lt, e.tail, e.c) for e in new_elements]
+    basis = [_element_basis_poly(ring, e.lt, state.staircase, e.c)
+             for e in new_elements]
     return LiftState(p=p, k=2 * k, basis=basis, staircase=state.staircase,
                      trivial=False, sys=sys, elements=new_elements)
 
@@ -359,16 +331,32 @@ def rational_reconstruct(alpha, p, k):
 
 def reconstruct_basis(state):
     """Coefficient-wise rational reconstruction of the current basis image;
-    None as soon as one coefficient fails."""
+    None as soon as one coefficient fails.
+
+    The coefficients of one element mostly share their denominators, so
+    each is first tried against den, the lcm of the denominators already
+    found: two fractions with |numerator| < s/2 and denominator <= s,
+    s = isqrt(p^k), that agree mod p^k are equal, so when coef * den mod p^k
+    lands in that box it gives the answer without a Euclid run."""
     p, k = state.p, state.k
+    m = p ** k
+    s = math.isqrt(m)
     out = []
     for g in state.basis:
         terms = {}
+        den = 1
         for mon, coef in g.terms():
+            num = int(coef) * den % m
+            if num > m // 2:
+                num -= m
+            if 2 * abs(num) < s and den <= s:
+                terms[mon] = Fraction(num, den)
+                continue
             rec = rational_reconstruct(int(coef), p, k)
             if rec is None:
                 return None
             terms[mon] = Fraction(rec[0], rec[1])
+            den = math.lcm(den, rec[1])
         out.append(BiPoly.from_terms(QQ, terms))
     return out
 

@@ -109,36 +109,8 @@ def normal_form(f, G):
                 gd = _primitive_int(_to_dict(g))
                 reducers.append((gd, _lt(gd)))
         return _from_dict(ring, _nf_rational(_to_dict(f), reducers))
-    work = _to_dict(f)
-    out = {}
     gs = [(_to_dict(g), _lt(_to_dict(g))) for g in G if not g.is_zero]
-    while work:
-        mon = _lt(work)
-        c = work.pop(mon)
-        if c == ring.zero:
-            continue
-        hit = None
-        for gd, glt in gs:
-            if _divides(glt, mon):
-                hit = (gd, glt)
-                break
-        if hit is None:
-            out[mon] = c
-            continue
-        gd, glt = hit
-        f_scale = ring.mul(c, ring.inv(gd[glt]))
-        da, db = mon[0] - glt[0], mon[1] - glt[1]
-        for (a, b), gc in gd.items():
-            if (a, b) == glt:
-                continue  # cancels exactly against the popped term
-            tgt = (a + da, b + db)
-            cur = work.get(tgt, ring.zero)
-            nc = ring.sub(cur, ring.mul(f_scale, gc))
-            if nc == ring.zero:
-                work.pop(tgt, None)
-            else:
-                work[tgt] = nc
-    return _from_dict(ring, out)
+    return _from_dict(ring, _nf_dict(ring, _to_dict(f), gs))
 
 
 def _nf_int(P, reducers):

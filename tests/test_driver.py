@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from bgb import cli, oracle
+from bgb import bounds, cli, oracle
 from bgb.driver import (DriverConfig, ParseError, PositiveDimensionalError,
-                        RetriesExhaustedError, emit_report,
+                        RetriesExhaustedError, _pick_primes, emit_report,
                         groebner_basis_main, parse_system,
                         primary_component_main)
 from bgb.rings import ZZ, QQ, BiPoly
@@ -64,6 +64,35 @@ def test_determinism_under_seed():
     assert (a.p, a.p_prime, a.precision_k, a.iterations, a.rounds) == \
            (b.p, b.p_prime, b.precision_k, b.iterations, b.rounds)
     assert a.gamma == b.gamma
+
+
+def test_prime_draws_pinned():
+    # (p, p', next 16 random bits) per seed: a seed keeps its primes and
+    # leaves the generator where later draws expect it; at 3 bits the two
+    # primes of [4, 7] often collide, so the redraw loop runs too
+    report = bounds.prime_interval_bounds(
+        bounds.BoundContext(t=2, d=2, d_y=2, h=1.0, P=4))
+    modes = {"paper": DriverConfig(mode="paper", P=4),
+             "practical": DriverConfig(),
+             "3 bits": DriverConfig(practical_prime_bits=3)}
+    want = {
+        ("paper", 0): (60441345229, 2482994739059, 19027),
+        ("paper", 1): (50167448839, 3051248238277, 55456),
+        ("paper", 7): (32832588949, 2872608223127, 9453),
+        ("paper", 2026): (33766846573, 2504340645991, 36686),
+        ("practical", 0): (2024418569, 1379746201, 52637),
+        ("practical", 1): (1788199291, 1147885483, 31472),
+        ("practical", 7): (1921618823, 1282972393, 35896),
+        ("practical", 2026): (1126869067, 1145940113, 54486),
+        ("3 bits", 0): (7, 5, 16968),
+        ("3 bits", 1): (5, 7, 7727),
+        ("3 bits", 7): (7, 5, 25875),
+        ("3 bits", 2026): (5, 7, 32932),
+    }
+    for (mode, seed), pinned in want.items():
+        rng = random.Random(seed)
+        p, p2 = _pick_primes(modes[mode], rng, report)
+        assert (p, p2, rng.getrandbits(16)) == pinned
 
 
 def test_mode_equivalence():

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from bgb import oracle
-from bgb.lifting import (_MAX_CELLS, UnluckyPrimeError, _ModRREF, init_lift,
-                         lift_step,
+from bgb.lifting import (_MAX_CELLS, LiftState, UnluckyPrimeError, _ModRREF,
+                         init_lift, lift_step,
                          rational_reconstruct, reconstruct_basis, staircase_of,
                          verify_with_witness)
 from bgb.rings import ZZ, QQ, GF, BiPoly, Zpk, reduce_mod
@@ -177,8 +177,24 @@ def test_lift_p2_divides_denominator():
             st = lift_step(st)
 
 
+def _zeros_above_lt(st, size):
+    """Every basis element solves the one shared system over the whole
+    staircase; its solution is the reduced element, so c vanishes on the
+    standard monomials lex-above lt.  Returns how many such zeros it saw."""
+    assert len(st.elements) == size  # the benchmark counts digits from it
+    seen = 0
+    for e in st.elements:
+        lt = (e.lt[1], e.lt[0])
+        for (a, b), c in zip(st.staircase, e.c):
+            if (b, a) > lt:
+                assert c == 0
+                seen += 1
+    return seen
+
+
 def test_nested_precision_law():
     rng = random.Random(70)
+    seen = 0
     for _ in range(6):
         F, G = random_degree_system(rng, 2, 3)
         p = 10007
@@ -187,14 +203,17 @@ def test_nested_precision_law():
             st = init_lift(F, p, G1)
         except UnluckyPrimeError:
             continue
+        seen += _zeros_above_lt(st, len(G1))
         prev = st
         for _ in range(3):
             nxt = lift_step(prev)
+            seen += _zeros_above_lt(nxt, len(G1))
             m_prev = prev.ring.modulus
             for a, b in zip(nxt.basis, prev.basis):
                 for mon, coef in b.terms():
                     assert a.coeff(*mon) % m_prev == coef
             prev = nxt
+    assert seen  # one system has a staircase monomial above a leading term
 
 
 def test_fixed_point_law():
@@ -271,6 +290,55 @@ def test_reconstruction_threshold_law():
             k *= 2
         alpha = (eta * pow(theta, -1, p ** k)) % p ** k
         assert rational_reconstruct(alpha, p, k) == (eta, theta)
+
+
+def _euclid_basis(basis, p, k):
+    """reconstruct_basis as one Euclid run per coefficient: the reference."""
+    out = []
+    for g in basis:
+        terms = {}
+        for mon, coef in g.terms():
+            rec = rational_reconstruct(int(coef), p, k)
+            if rec is None:
+                return None
+            terms[mon] = Fraction(*rec)
+        out.append(BiPoly.from_terms(QQ, terms))
+    return out
+
+
+def test_reconstruct_basis_matches_euclid():
+    # the shared-denominator shortcut must give exactly what one Euclid run
+    # per coefficient gives, on residues of fractions just inside and just
+    # outside the reconstruction box and on random residues
+    rng = random.Random(74)
+    for p in (2, 3, 7, 10007, (1 << 31) - 1):
+        for k in (1, 2, 3, 4, 7, 8, 16):
+            m = p ** k
+            s = math.isqrt(m)
+
+            def fraction_residue(den):
+                return rng.randint(-s // 2 - 1, s // 2 + 1) * pow(den, -1, m) % m
+
+            def coprime_den():
+                while True:
+                    den = rng.randint(1, s + 1)
+                    if den % p:
+                        return den
+
+            for kind in ("shared", "mixed", "random"):
+                for _ in range(12):
+                    den = coprime_den()
+                    terms = {}
+                    for i in range(rng.randint(1, 8)):
+                        if kind == "random" or (kind == "mixed" and rng.randrange(2)):
+                            terms[(i, 0)] = rng.randrange(m)
+                        else:
+                            terms[(i, 0)] = fraction_residue(
+                                den if rng.randrange(4) else coprime_den())
+                    basis = [BiPoly.from_terms(Zpk(p, k), terms)]
+                    st = LiftState(p=p, k=k, basis=basis, staircase=[],
+                                   trivial=False)
+                    assert reconstruct_basis(st) == _euclid_basis(basis, p, k)
 
 
 def test_verify_with_witness():
