@@ -1,335 +1,219 @@
-"""Buchberger reference implementation for lex (x < y) over a field.
+"""Buchberger reference implementation for lex (x < y) over Q or F_p.
 
-Deliberately plain: S-polynomials with the coprime-leading-term criterion
-and full reduction, then interreduction to the unique reduced minimal
-basis.  This is the trusted baseline the engine modules are tested
-against, so clarity beats speed; use it only at desk scale.
+Deliberately plain, with one copy of each piece for both fields: one
+S-polynomial, one top-to-bottom reduction, one pair loop (normal selection,
+coprime-leading-term criterion), then interreduction to the unique reduced
+minimal basis.  Working elements are dicts of Python ints, where p is the
+characteristic: over F_p (p > 0) they are monic residues, and over Q (p = 0)
+primitive integer polynomials with a positive leading coefficient.  Over Q
+the arithmetic is fraction-free, since a Fraction per term costs a gcd at
+every operation.  Reduction scales by a reducer's leading coefficient and
+divides out the content instead, and carries one rational scalar so that a
+normal form stays exact.  The reduction takes terms in decreasing lex order
+from a heap, so it never searches for a leading term.  This is the trusted
+baseline the engine modules are tested against; it imports nothing from
+them, so clarity beats speed.  Use it only at desk scale.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
+from itertools import chain
 
-from .rings import BiPoly, RationalField
-
-
-def _to_dict(f):
-    return {mon: c for mon, c in f.terms()}
+from .rings import BiPoly, PrimeField, RationalField
 
 
-def _from_dict(ring, d):
-    return BiPoly.from_terms(ring, d) if d else BiPoly.zero(ring)
+def _char(ring):
+    if isinstance(ring, PrimeField):
+        return ring.p
+    assert isinstance(ring, RationalField), "the oracle works over Q or F_p"
+    return 0
 
 
-def _lt(d):
-    """Leading monomial of a nonzero term dict, lex with y > x."""
-    return max(d, key=lambda mn: (mn[1], mn[0]))
+def _ints(f, p):
+    """f as a dict of ints and the scalar it carries: f = s * dict."""
+    d = dict(f.terms())
+    if p:
+        return d, 1
+    den = math.lcm(*(c.denominator for c in d.values()))
+    P = {m: c.numerator * (den // c.denominator) for m, c in d.items()}
+    return P, Fraction(1, den)
+
+
+def _from_ints(ring, d, s):
+    return BiPoly.from_terms(ring, {m: c * s for m, c in d.items()})
 
 
 def _divides(m1, m2):
     return m1[0] <= m2[0] and m1[1] <= m2[1]
 
 
-def _primitive_int(d):
-    """Integer dict proportional to d with content 1 and positive lead."""
-    den = 1
-    for c in d.values():
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    P = {mon: int(c * den) for mon, c in d.items()}
-    cont = 0
-    for v in P.values():
-        cont = math.gcd(cont, v)
-    if P[_lt(P)] < 0:
+def _element(f, p):
+    """The nonzero polynomial f as a normalized (dict, lt) working element."""
+    return _normalize(_ints(f, p)[0], p)
+
+
+def _normalize(d, p):
+    """(canonical associate of the nonzero dict d, its leading monomial):
+    monic over F_p, primitive with a positive leading coefficient over Z."""
+    lt = max(d, key=lambda mn: (mn[1], mn[0]))
+    if p:
+        inv = pow(d[lt], -1, p)
+        return {m: c * inv % p for m, c in d.items()}, lt
+    cont = math.gcd(*d.values())
+    if d[lt] < 0:
         cont = -cont
-    if cont not in (0, 1):
-        P = {mon: v // cont for mon, v in P.items()}
-    return P
+    return {m: c // cont for m, c in d.items()}, lt
 
 
-def _nf_rational(fd, reducers):
-    """Exact normal form over Q: the working polynomial is an integer dict
-    times a rational multiplier, so the inner loop never touches Fractions.
-    `reducers` are primitive integer dicts with positive leading terms."""
-    if not fd:
-        return {}
-    den = 1
-    for c in fd.values():
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    P = {mon: int(c * den) for mon, c in fd.items()}
-    mu = Fraction(1, den)
+def _spoly(f, g, p):
+    """Fraction-free S-polynomial lc(g)*m_f*f - lc(f)*m_g*g (mod p), with
+    both leading coefficients divided by their gcd first."""
+    (fd, flt), (gd, glt) = f, g
+    lcm = (max(flt[0], glt[0]), max(flt[1], glt[1]))
+    lf, lg = fd[flt], gd[glt]
+    h = math.gcd(lf, lg)
+    lf, lg = lf // h, lg // h
+    out = {(a + lcm[0] - flt[0], b + lcm[1] - flt[1]): c * lg
+           for (a, b), c in fd.items()}
+    for (a, b), c in gd.items():
+        tgt = (a + lcm[0] - glt[0], b + lcm[1] - glt[1])
+        out[tgt] = out.get(tgt, 0) - c * lf
+    if p:
+        out = {m: c % p for m, c in out.items()}
+    return {m: c for m, c in out.items() if c}
+
+
+def _reduce(P, reducers, p):
+    """Full reduction of the int dict P by normalized (dict, lt) reducers,
+    each term going to the first reducer whose leading monomial divides it.
+
+    Returns (r, s): the remainder is s * r, with s = 1 over F_p.  Terms are
+    popped in decreasing lex order from a heap that holds each monomial
+    once: a reduction step adds only monomials below the one it removes,
+    so a monomial never comes back once popped."""
+    P = dict(P)
+    heap = [(-b, -a) for a, b in P]
+    heapq.heapify(heap)
     out = {}
-    while P:
-        mon = _lt(P)
+    s = 1
+    while heap:
+        nb, na = heapq.heappop(heap)
+        mon = (-na, -nb)
         c = P.pop(mon)
         if not c:
             continue
-        hit = None
         for gd, glt in reducers:
-            if _divides(glt, mon):
-                hit = (gd, glt)
+            if glt[0] <= -na and glt[1] <= -nb:
                 break
-        if hit is None:
-            out[mon] = c * mu
+        else:
+            out[mon] = c
             continue
-        gd, glt = hit
         l = gd[glt]
-        da, db = mon[0] - glt[0], mon[1] - glt[1]
-        if l != 1:
-            for m2 in P:
-                P[m2] *= l
-            mu /= l
+        if l != 1:  # over Z only: scale by l, then divide out the content
+            h = math.gcd(l, c)
+            l, c = l // h, c // h
+            if l != 1:
+                for m in P:
+                    P[m] *= l
+                for m in out:
+                    out[m] *= l
+                s = Fraction(s, l)
+        da, db = -na - glt[0], -nb - glt[1]
         for (a, b), gc in gd.items():
             if (a, b) == glt:
                 continue
             tgt = (a + da, b + db)
+            if tgt not in P:
+                heapq.heappush(heap, (-tgt[1], -tgt[0]))
             nv = P.get(tgt, 0) - c * gc
-            if nv:
-                P[tgt] = nv
-            else:
-                P.pop(tgt, None)
-        cont = 0
-        for v in P.values():
-            cont = math.gcd(cont, v)
-            if cont == 1:
-                break
-        if cont > 1:
-            P = {m2: v // cont for m2, v in P.items()}
-            mu *= cont
-    return out
+            P[tgt] = nv % p if p else nv
+        if l != 1:
+            cont = 0
+            for v in chain(P.values(), out.values()):
+                cont = math.gcd(cont, v)
+                if cont == 1:
+                    break
+            if cont > 1:
+                P = {m: v // cont for m, v in P.items()}
+                out = {m: v // cont for m, v in out.items()}
+                s *= cont
+    return out, s
 
 
 def normal_form(f, G):
     """Remainder of f under multivariate division by the basis G."""
-    ring = f.ring
-    if isinstance(ring, RationalField):
-        reducers = []
-        for g in G:
-            if not g.is_zero:
-                gd = _primitive_int(_to_dict(g))
-                reducers.append((gd, _lt(gd)))
-        return _from_dict(ring, _nf_rational(_to_dict(f), reducers))
-    gs = [(_to_dict(g), _lt(_to_dict(g))) for g in G if not g.is_zero]
-    return _from_dict(ring, _nf_dict(ring, _to_dict(f), gs))
-
-
-def _nf_int(P, reducers):
-    """Top reduction of an integer dict against primitive integer reducers;
-    the result is primitive and zero exactly when the true remainder is."""
-    P = dict(P)
-    out = {}
-    while P:
-        mon = _lt(P)
-        c = P.pop(mon)
-        if not c:
-            continue
-        hit = None
-        for gd, glt in reducers:
-            if _divides(glt, mon):
-                hit = (gd, glt)
-                break
-        if hit is None:
-            out[mon] = c
-            continue
-        gd, glt = hit
-        l = gd[glt]
-        da, db = mon[0] - glt[0], mon[1] - glt[1]
-        if l != 1:
-            for m2 in P:
-                P[m2] *= l
-            for m2 in out:
-                out[m2] *= l
-        for (a, b), gc in gd.items():
-            if (a, b) == glt:
-                continue
-            tgt = (a + da, b + db)
-            nv = P.get(tgt, 0) - c * gc
-            if nv:
-                P[tgt] = nv
-            else:
-                P.pop(tgt, None)
-        cont = 0
-        for v in P.values():
-            cont = math.gcd(cont, v)
-            if cont == 1:
-                break
-        for v in out.values():
-            if cont == 1:
-                break
-            cont = math.gcd(cont, v)
-        if cont > 1:
-            P = {m2: v // cont for m2, v in P.items()}
-            out = {m2: v // cont for m2, v in out.items()}
-    if out and out[_lt(out)] < 0:
-        out = {m2: -v for m2, v in out.items()}
-    return out
-
-
-def _spoly(ring, fd, gd):
-    flt, glt = _lt(fd), _lt(gd)
-    lcm = (max(flt[0], glt[0]), max(flt[1], glt[1]))
-    out = {}
-    finv = ring.inv(fd[flt])
-    ginv = ring.inv(gd[glt])
-    for (a, b), c in fd.items():
-        tgt = (a + lcm[0] - flt[0], b + lcm[1] - flt[1])
-        out[tgt] = ring.add(out.get(tgt, ring.zero), ring.mul(c, finv))
-    for (a, b), c in gd.items():
-        tgt = (a + lcm[0] - glt[0], b + lcm[1] - glt[1])
-        nc = ring.sub(out.get(tgt, ring.zero), ring.mul(c, ginv))
-        if nc == ring.zero:
-            out.pop(tgt, None)
-        else:
-            out[tgt] = nc
-    return {m: c for m, c in out.items() if c != ring.zero}
-
-
-def _spoly_int(fd, gd):
-    """Integer S-polynomial lc(g).shift(f) - lc(f).shift(g), made primitive."""
-    flt, glt = _lt(fd), _lt(gd)
-    lcm = (max(flt[0], glt[0]), max(flt[1], glt[1]))
-    out = {}
-    lf, lg = fd[flt], gd[glt]
-    for (a, b), c in fd.items():
-        tgt = (a + lcm[0] - flt[0], b + lcm[1] - flt[1])
-        out[tgt] = out.get(tgt, 0) + c * lg
-    for (a, b), c in gd.items():
-        tgt = (a + lcm[0] - glt[0], b + lcm[1] - glt[1])
-        nv = out.get(tgt, 0) - c * lf
-        if nv:
-            out[tgt] = nv
-        else:
-            out.pop(tgt, None)
-    cont = 0
-    for v in out.values():
-        cont = math.gcd(cont, v)
-        if cont == 1:
-            break
-    if cont > 1:
-        out = {m: v // cont for m, v in out.items()}
-    return out
-
-
-def _buchberger_rational(F):
-    """Buchberger over Q on an integer-primitive working basis; exact monic
-    reduction is deferred to the final interreduction."""
-    ring = F[0].ring
-    basis = []
-    for f in F:
-        if not f.is_zero:
-            basis.append(_primitive_int(_to_dict(f)))
-    if not basis:
-        return []
-    red = [(gd, _lt(gd)) for gd in basis]
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
-    while pairs:
-        i, j = pairs.pop()
-        fd, gd = basis[i], basis[j]
-        flt, glt = _lt(fd), _lt(gd)
-        if flt[0] + glt[0] == max(flt[0], glt[0]) and flt[1] + glt[1] == max(flt[1], glt[1]):
-            continue
-        r = _nf_int(_spoly_int(fd, gd), red)
-        if r:
-            basis.append(r)
-            red.append((r, _lt(r)))
-            pairs.extend((t, len(basis) - 1) for t in range(len(basis) - 1))
-    polys = [_from_dict(ring, {m: Fraction(v) for m, v in gd.items()})
-             for gd in basis]
-    return interreduce(polys)
-
-
-def _nf_dict(ring, work, gs):
-    """Field-coefficient normal form on term dicts against cached reducers."""
-    work = dict(work)
-    out = {}
-    while work:
-        mon = _lt(work)
-        c = work.pop(mon)
-        if c == ring.zero:
-            continue
-        hit = None
-        for gd, glt in gs:
-            if _divides(glt, mon):
-                hit = (gd, glt)
-                break
-        if hit is None:
-            out[mon] = c
-            continue
-        gd, glt = hit
-        f_scale = ring.mul(c, ring.inv(gd[glt]))
-        da, db = mon[0] - glt[0], mon[1] - glt[1]
-        for (a, b), gc in gd.items():
-            if (a, b) == glt:
-                continue
-            tgt = (a + da, b + db)
-            cur = work.get(tgt, ring.zero)
-            nc = ring.sub(cur, ring.mul(f_scale, gc))
-            if nc == ring.zero:
-                work.pop(tgt, None)
-            else:
-                work[tgt] = nc
-    return out
+    p = _char(f.ring)
+    reducers = [_element(g, p) for g in G if not g.is_zero]
+    P, s = _ints(f, p)
+    r, t = _reduce(P, reducers, p)
+    return _from_ints(f.ring, r, s * t)
 
 
 def buchberger(F):
     """The reduced minimal lexicographic Groebner basis of <F>, x < y.
 
-    Plain Buchberger with the coprime-criterion and normal pair selection
-    (smallest lcm first), which keeps intermediate elements small."""
+    Plain Buchberger over Q or F_p with the coprime criterion and normal
+    pair selection (smallest lcm first, by total degree and then lex),
+    which keeps intermediate elements small.  It stops once the element
+    added last is a constant, since the unit ideal's reduced basis is [1]."""
     ring = F[0].ring
-    assert ring.is_field, "the oracle works over field coefficients"
-    if isinstance(ring, RationalField):
-        return _buchberger_rational(F)
-    dicts = [_to_dict(f.monic()) for f in F if not f.is_zero]
-    if not dicts:
-        return []
-    import heapq
-    gs = [(d, _lt(d)) for d in dicts]
+    p = _char(ring)
+    G = []
+    heap = []
 
-    def push_pairs(heap, upto, j):
-        _, glt = gs[j]
-        for i in range(upto):
-            flt = gs[i][1]
+    def add(g):
+        j = len(G)
+        glt = g[1]
+        for i, (_, flt) in enumerate(G):
             lcm = (max(flt[0], glt[0]), max(flt[1], glt[1]))
             heapq.heappush(heap, (lcm[0] + lcm[1], lcm[1], lcm[0], i, j))
+        G.append(g)
 
-    heap = []
-    for j in range(len(gs)):
-        push_pairs(heap, j, j)
-    while heap:
+    for f in F:
+        if not f.is_zero:
+            add(_element(f, p))
+    while heap and G[-1][1] != (0, 0):
         _, _, _, i, j = heapq.heappop(heap)
-        fd, flt = gs[i]
-        gd, glt = gs[j]
+        flt, glt = G[i][1], G[j][1]
         # first Buchberger criterion: coprime leading terms reduce to zero
-        if flt[0] + glt[0] == max(flt[0], glt[0]) and flt[1] + glt[1] == max(flt[1], glt[1]):
+        if min(flt[0], glt[0]) == 0 and min(flt[1], glt[1]) == 0:
             continue
-        r = _nf_dict(ring, _spoly(ring, fd, gd), gs)
+        r, _ = _reduce(_spoly(G[i], G[j], p), G, p)
         if r:
-            lc = r[_lt(r)]
-            if lc != ring.one:
-                inv = ring.inv(lc)
-                r = {m: ring.mul(inv, c) for m, c in r.items()}
-            gs.append((r, _lt(r)))
-            push_pairs(heap, len(gs) - 1, len(gs) - 1)
-    return interreduce([_from_dict(ring, d) for d, _ in gs])
+            add(_normalize(r, p))
+    return _interreduce(ring, G, p)
+
+
+def _interreduce(ring, G, p):
+    """Reduced minimal basis from normalized (dict, lt) elements of a
+    Groebner basis, sorted by decreasing leading monomial."""
+    minimal = []
+    for d, lt in G:
+        if not any(_divides(olt, lt) for _, olt in G if olt != lt):
+            if all(olt != lt for _, olt in minimal):
+                minimal.append((d, lt))
+    reduced = []
+    for d, lt in minimal:
+        tail = dict(d)
+        l = tail.pop(lt)
+        r, s = _reduce(tail, [h for h in minimal if h[1] != lt], p)
+        if l != 1:
+            s = Fraction(s, l)
+        lead = BiPoly.monomial(ring, ring.one, lt[0], lt[1])
+        reduced.append((lt, lead + _from_ints(ring, r, s)))
+    reduced.sort(key=lambda e: (e[0][1], e[0][0]), reverse=True)
+    return [g for _, g in reduced]
 
 
 def interreduce(basis):
     """Minimalize and reduce: the canonical form of a Groebner basis."""
     ring = basis[0].ring
-    items = [(g.lt()[0], g.monic()) for g in basis if not g.is_zero]
-    minimal = []
-    for lt, g in items:
-        if not any(_divides(olt, lt) for olt, _ in items if olt != lt):
-            if all(olt != lt for olt, _ in minimal):
-                minimal.append((lt, g))
-    reduced = []
-    for lt, g in minimal:
-        others = [h for olt, h in minimal if olt != lt]
-        tail = normal_form(g - BiPoly.monomial(ring, ring.one, lt[0], lt[1]), others)
-        reduced.append(BiPoly.monomial(ring, ring.one, lt[0], lt[1]) + tail)
-    reduced.sort(key=lambda g: (g.lt()[0][1], g.lt()[0][0]), reverse=True)
-    return reduced
+    p = _char(ring)
+    G = [_element(g, p) for g in basis if not g.is_zero]
+    return _interreduce(ring, G, p)
 
 
 def primary_at_origin_oracle(F, d):

@@ -189,10 +189,17 @@ def test_cli_solve_and_exit_codes(tmp_path, capsys):
     assert cli.main(["solve", str(bad)]) == 2
     capsys.readouterr()
 
-    posdim = tmp_path / "posdim.txt"
-    posdim.write_text("x*y\nx^2\n")
-    assert cli.main(["solve", str(posdim), "--seed", "1", "--prime-bits", "29"]) == 3
-    capsys.readouterr()
+    # the unit ideal prints 1; a positive-dimensional ideal exits 3
+    probes = [("1\nx\n", 0), ("x - 1\nx - 2\n", 0), ("x*y\nx^2\n", 3),
+              ("x^2 - 1\nx^3 - 1\n", 3), ("x^2 + y - 1\nx^2 + y - 1\n", 3)]
+    for text, code in probes:
+        probe = tmp_path / "probe.txt"
+        probe.write_text(text)
+        rc = cli.main(["solve", str(probe), "--seed", "1", "--prime-bits", "29"])
+        out = capsys.readouterr().out
+        assert rc == code, text
+        if code == 0:
+            assert out.splitlines() == ["1"], text
 
     forced = tmp_path / "forced.txt"
     forced.write_text("2*y^2 - x\nx^2 - y\n")
