@@ -1,8 +1,8 @@
 """Exact lexicographic Groebner bases of zero-dimensional bivariate ideals
 over Q, computed by p-adic lifting of Hermite/Howell modular bases."""
 
-from .rings import (ZZ, QQ, GF, Zpk, BiPoly, UniPoly, NonInvertibleError,
-                    height, reduce_mod, canonical_lift)
+from .rings import (ZZ, QQ, GF, BiPoly, UniPoly, NonInvertibleError,
+                    height, reduce_mod)
 from .groebner_engine import (DeltaCase, delta_bound, hermite_groebner_basis,
                               howell_groebner_basis, groebner_basis_at_zero,
                               minimalize, NotZeroDimensionalError)
@@ -14,8 +14,8 @@ from .driver import (DriverConfig, RunReport, groebner_basis_main,
                      primary_component_main, parse_system, emit_report)
 
 __all__ = [
-    "ZZ", "QQ", "GF", "Zpk", "BiPoly", "UniPoly", "NonInvertibleError",
-    "height", "reduce_mod", "canonical_lift",
+    "ZZ", "QQ", "GF", "BiPoly", "UniPoly", "NonInvertibleError",
+    "height", "reduce_mod",
     "DeltaCase", "delta_bound", "hermite_groebner_basis",
     "howell_groebner_basis", "groebner_basis_at_zero", "minimalize",
     "NotZeroDimensionalError",

@@ -73,7 +73,6 @@ class RunReport:
     iterations: int
     rounds: int
     delta: int
-    basis_size: int
     height_nats: float
     gamma: coords.Coords2x2
     task: str
@@ -384,7 +383,7 @@ def _run(F, cfg):
         return RunReport(
             basis=accepted, p=p, p_prime=pp, precision_k=state.k,
             iterations=iterations, rounds=rnd + 1,
-            delta=len(state.staircase), basis_size=len(accepted),
+            delta=len(state.staircase),
             height_nats=max(hs) if hs else 0.0,
             gamma=gamma, task=cfg.task, seed=seed, bound_report=breport,
             timings=dict(timings))

@@ -12,6 +12,10 @@ against that single factorization, digit by digit, for every element.  A
 digit that fails its consistency rows means the prime is unlucky and the
 caller restarts with fresh primes.
 
+The lifted basis exists only as these integer vectors: each element is its
+leading term plus sum c_m * m over the standard monomials m, with c
+canonical mod p^k, and reconstruct_basis reads the basis over Q from c.
+
 All mod-p linear algebra goes through one kernel, _ModRREF: a single numpy
 elimination whose dtype is chosen from p, int64 for p < 2^31 (the practical
 default) and Python-int objects for larger primes (paper mode, or wider
@@ -21,12 +25,12 @@ practical primes).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .rings import QQ, BiPoly, GF, Zpk, rational_mod, NonInvertibleError
+from .rings import QQ, BiPoly, GF, rational_mod, NonInvertibleError
 
 _INT64_MAX_P = 1 << 31   # below it, a product of two residues fits int64
 _MAX_CELLS = 3_000_000
@@ -193,26 +197,16 @@ class _MembershipSystem:
 
 @dataclass
 class LiftState:
+    """The lift at precision p^k.  Basis element i is elements[i].lt plus
+    the staircase monomials (in increasing lex order, as staircase_of gives
+    them) weighted by elements[i].c, canonical mod p^k; the unit ideal is a
+    trivial state with no elements."""
     p: int
     k: int
-    basis: list           # current basis image over Z/p^k
     staircase: list
     trivial: bool
     sys: object = None
-    elements: list = None
-
-    @property
-    def ring(self):
-        return Zpk(self.p, self.k)
-
-
-def _element_basis_poly(ring, lt, stair, c):
-    terms = {lt: 1}
-    m = ring.modulus
-    for mon, coef in zip(stair, c):
-        if coef % m:
-            terms[mon] = coef % m
-    return BiPoly.from_terms(ring, terms)
+    elements: list = field(default_factory=list)
 
 
 def init_lift(F, p, G1):
@@ -223,9 +217,7 @@ def init_lift(F, p, G1):
     also how an inconsistent G1 is detected.
     """
     if len(G1) == 1 and G1[0].lt()[0] == (0, 0):
-        ring = Zpk(p, 1)
-        return LiftState(p=p, k=1, basis=[BiPoly.const(ring, 1)],
-                         staircase=[], trivial=True)
+        return LiftState(p=p, k=1, staircase=[], trivial=True)
     lts = [g.lt()[0] for g in G1]
     if not any(n == 0 for _, n in lts) or not any(
             m == 0 and n > 0 for m, n in lts):
@@ -260,19 +252,17 @@ def init_lift(F, p, G1):
                     "solved element disagrees with the given modular basis")
             elements.append(_ElementSystem(lt, w, c, sys.residual(e_lt, w, c)))
         else:
-            ring = Zpk(p, 1)
-            basis = [_element_basis_poly(ring, e.lt, stair, e.c) for e in elements]
-            return LiftState(p=p, k=1, basis=basis, staircase=stair,
-                             trivial=False, sys=sys, elements=elements)
+            return LiftState(p=p, k=1, staircase=stair, trivial=False,
+                             sys=sys, elements=elements)
     raise UnluckyPrimeError("membership system inconsistent at every window level")
 
 
 def lift_step(state):
-    """Advance from precision k to 2k; the new basis image agrees with the
-    old one mod p^k (nested-precision law)."""
+    """Advance from precision k to 2k: Dixon-solve k more p-adic digits of
+    every element's (w, c).  The new c agrees with the old one mod p^k
+    (nested-precision law)."""
     if state.trivial:
-        return LiftState(p=state.p, k=2 * state.k, basis=state.basis,
-                         staircase=state.staircase, trivial=True)
+        return LiftState(p=state.p, k=2 * state.k, staircase=[], trivial=True)
     p, k = state.p, state.k
     sys = state.sys
     pk = p ** k
@@ -301,11 +291,8 @@ def lift_step(state):
             [(a + pk * b) % mod2 for a, b in zip(elem.w, Dw)],
             [(a + pk * b) % mod2 for a, b in zip(elem.c, Dc)],
             rh))
-    ring = Zpk(p, 2 * k)
-    basis = [_element_basis_poly(ring, e.lt, state.staircase, e.c)
-             for e in new_elements]
-    return LiftState(p=p, k=2 * k, basis=basis, staircase=state.staircase,
-                     trivial=False, sys=sys, elements=new_elements)
+    return LiftState(p=p, k=2 * k, staircase=state.staircase, trivial=False,
+                     sys=sys, elements=new_elements)
 
 
 def rational_reconstruct(alpha, p, k):
@@ -330,29 +317,34 @@ def rational_reconstruct(alpha, p, k):
 
 
 def reconstruct_basis(state):
-    """Coefficient-wise rational reconstruction of the current basis image;
-    None as soon as one coefficient fails.
+    """Rational reconstruction of every element's staircase coefficients c,
+    walked in decreasing lex order below its leading term, whose
+    coefficient is 1; None as soon as one coefficient fails.
 
     The coefficients of one element mostly share their denominators, so
     each is first tried against den, the lcm of the denominators already
     found: two fractions with |numerator| < s/2 and denominator <= s,
     s = isqrt(p^k), that agree mod p^k are equal, so when coef * den mod p^k
     lands in that box it gives the answer without a Euclid run."""
+    if state.trivial:
+        return [BiPoly.const(QQ, 1)]
     p, k = state.p, state.k
     m = p ** k
     s = math.isqrt(m)
     out = []
-    for g in state.basis:
-        terms = {}
+    for e in state.elements:
+        terms = {e.lt: 1}
         den = 1
-        for mon, coef in g.terms():
-            num = int(coef) * den % m
+        for mon, coef in zip(reversed(state.staircase), reversed(e.c)):
+            if not coef:
+                continue
+            num = coef * den % m
             if num > m // 2:
                 num -= m
             if 2 * abs(num) < s and den <= s:
                 terms[mon] = Fraction(num, den)
                 continue
-            rec = rational_reconstruct(int(coef), p, k)
+            rec = rational_reconstruct(coef, p, k)
             if rec is None:
                 return None
             terms[mon] = Fraction(rec[0], rec[1])

@@ -208,14 +208,6 @@ def _interreduce(ring, G, p):
     return [g for _, g in reduced]
 
 
-def interreduce(basis):
-    """Minimalize and reduce: the canonical form of a Groebner basis."""
-    ring = basis[0].ring
-    p = _char(ring)
-    G = [_element(g, p) for g in basis if not g.is_zero]
-    return _interreduce(ring, G, p)
-
-
 def primary_at_origin_oracle(F, d):
     """Basis of the <x, y>-primary component, via F plus x^(d^2), y^(d^2)."""
     ring = F[0].ring

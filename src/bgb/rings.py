@@ -1,7 +1,7 @@
-"""Coefficient rings (Z, Q, F_p, Z/p^k) and dense polynomial arithmetic.
+"""Coefficient rings (Z, Q, F_p, F_p^2) and dense polynomial arithmetic.
 
-Ring elements are plain values: Python ints for Z and for the modular
-rings (canonical representatives in [0, m)), Fraction for Q.  A ring
+Ring elements are plain values: Python ints for Z and for F_p (canonical
+representatives in [0, p)), Fraction for Q, pairs for F_p^2.  A ring
 object carries the arithmetic; polynomials store their ring next to a
 coefficient vector.  Values are immutable after construction.
 
@@ -17,12 +17,12 @@ from fractions import Fraction
 
 
 class NonInvertibleError(ArithmeticError):
-    """Inversion of a non-unit; over Z/p^k this signals an unlucky modulus."""
+    """Inversion of a non-unit; reducing modulo a prime that divides a
+    denominator signals an unlucky prime."""
 
 
 @dataclass(frozen=True)
 class IntegerRing:
-    is_field = False
     zero = 0
     one = 1
 
@@ -55,7 +55,6 @@ class IntegerRing:
 
 @dataclass(frozen=True)
 class RationalField:
-    is_field = True
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -91,13 +90,8 @@ class PrimeField:
     """F_p; elements are ints in [0, p)."""
 
     p: int
-    is_field = True
     zero = 0
     one = 1
-
-    @property
-    def modulus(self):
-        return self.p
 
     def of(self, n):
         return n % self.p
@@ -129,51 +123,6 @@ class PrimeField:
         return "GF(%d)" % self.p
 
 
-@dataclass(frozen=True)
-class ResidueRing:
-    """Z/p^k; elements are ints in [0, p^k).  Units are the residues prime to p."""
-
-    p: int
-    k: int
-    is_field = False
-    zero = 0
-    one = 1
-
-    @property
-    def modulus(self):
-        return self.p ** self.k
-
-    def of(self, n):
-        return n % self.modulus
-
-    def add(self, a, b):
-        m = self.modulus
-        c = a + b
-        return c - m if c >= m else c
-
-    def sub(self, a, b):
-        c = a - b
-        return c + self.modulus if c < 0 else c
-
-    def mul(self, a, b):
-        return (a * b) % self.modulus
-
-    def neg(self, a):
-        return self.modulus - a if a else 0
-
-    def is_unit(self, a):
-        return a % self.p != 0
-
-    def inv(self, a):
-        try:
-            return pow(a, -1, self.modulus)
-        except ValueError:
-            raise NonInvertibleError("%d is not invertible mod %d^%d" % (a, self.p, self.k))
-
-    def __repr__(self):
-        return "Z/%d^%d" % (self.p, self.k)
-
-
 class QuadraticExtension:
     """Degree-2 extension of F_p, used for rank-profile evaluation points.
 
@@ -182,7 +131,6 @@ class QuadraticExtension:
     is w^2 + w + 1.
     """
 
-    is_field = True
     zero = (0, 0)
     one = (1, 0)
 
@@ -251,10 +199,6 @@ def GF(p):
     return PrimeField(p)
 
 
-def Zpk(p, k):
-    return ResidueRing(p, k)
-
-
 class UniPoly:
     """Dense univariate polynomial in x; coeffs[i] is the x^i coefficient."""
 
@@ -274,7 +218,7 @@ class UniPoly:
 
     @classmethod
     def const(cls, ring, c):
-        return cls(ring, (ring.of(c),) if not isinstance(c, tuple) else (c,))
+        return cls(ring, (ring.of(c),))
 
     @classmethod
     def x_pow(cls, ring, n, c=1):
@@ -469,10 +413,6 @@ class BiPoly:
     def monomial(cls, ring, c, a, b):
         rows = [UniPoly.zero(ring)] * b + [UniPoly.x_pow(ring, a, c)]
         return cls(ring, rows)
-
-    @classmethod
-    def from_unipoly(cls, u):
-        return cls(u.ring, (u,))
 
     @property
     def is_zero(self):
@@ -689,12 +629,7 @@ def reduce_mod(f, ring):
     return f.map_coeffs(ring.of, ring)
 
 
-def canonical_lift(f):
-    """Unique preimage over Z with coefficients in [0, m) of a modular BiPoly."""
-    return f.map_coeffs(int, ZZ)
-
-
 def rational_mod(c, ring):
-    """Reduce a Fraction into F_p / Z_p^k; raises NonInvertibleError when the
-    denominator shares a factor with the modulus."""
+    """Reduce a Fraction into F_p; raises NonInvertibleError when p divides
+    the denominator."""
     return ring.mul(ring.of(c.numerator), ring.inv(ring.of(c.denominator)))

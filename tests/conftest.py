@@ -57,10 +57,14 @@ def random_noether_system(rng, field, t, d_y, max_dx, max_tries=200):
 
 def random_degree_system(rng, t, d, bound=10, density=0.65, max_tries=400):
     """Random integer system of total degree <= d, zero-dimensional over Q
-    by the Buchberger oracle; returns (F over Z, oracle basis over Q)."""
+    by the Buchberger oracle; returns (F over Z, oracle basis over Q).
+
+    Generators past the second are u*f1 + v*f2 with random linear u, v:
+    a third independent random generator nearly always makes the ideal the
+    unit ideal, whose basis [1] tests little."""
     for _ in range(max_tries):
         F = []
-        for _ in range(t):
+        for _ in range(min(t, 2)):
             terms = {}
             for b in range(d + 1):
                 for a in range(d + 1 - b):
@@ -70,13 +74,24 @@ def random_degree_system(rng, t, d, bound=10, density=0.65, max_tries=400):
                             terms[(a, b)] = c
             if terms:
                 F.append(BiPoly.from_terms(ZZ, terms))
-        if len(F) != t or any(f.total_degree < 1 for f in F):
+        if len(F) != min(t, 2):
+            continue
+        for _ in range(t - 2):
+            u, v = (_random_linear(rng) for _ in range(2))
+            F.append(u * F[0] + v * F[1])
+        if any(f.is_zero or f.total_degree < 1 for f in F):
             continue
         FQ = [f.map_coeffs(Fraction, QQ) for f in F]
         G = oracle.buchberger(FQ)
         if G and oracle.is_zero_dimensional(G):
             return F, G
     raise RuntimeError("could not generate a zero-dimensional system")
+
+
+def _random_linear(rng):
+    """a*x + b*y + c with nonzero a, b, c in [-3, 3]."""
+    return BiPoly.from_terms(ZZ, {m: rng.choice([-3, -2, -1, 1, 2, 3])
+                                  for m in ((1, 0), (0, 1), (0, 0))})
 
 
 def gb_equal(A, B):

@@ -6,10 +6,10 @@ import pytest
 
 from bgb import oracle
 from bgb.lifting import (_MAX_CELLS, LiftState, UnluckyPrimeError, _ModRREF,
-                         init_lift, lift_step,
+                         _ElementSystem, init_lift, lift_step,
                          rational_reconstruct, reconstruct_basis, staircase_of,
                          verify_with_witness)
-from bgb.rings import ZZ, QQ, GF, BiPoly, Zpk, reduce_mod
+from bgb.rings import QQ, GF, BiPoly, reduce_mod
 from conftest import gb_equal, pp, ppl, random_degree_system
 
 
@@ -140,7 +140,8 @@ def test_init_examples():
     # unit ideal: early exit
     F = ppl("y\ny + 1")
     st = init_lift(F, 5, _modular_gb(F, 5))
-    assert st.trivial and [str(b) for b in st.basis] == ["1"]
+    assert st.trivial and st.elements == []
+    assert [str(b) for b in reconstruct_basis(lift_step(st))] == ["1"]
     # inconsistent G1: swap in a basis that is not the basis mod p
     F = ppl("y - x\nx^2")
     bogus = ppl("y - 2*x\nx^2", GF(5))
@@ -155,7 +156,9 @@ def test_lift_e_example():
     st = init_lift(F, 7, G1)
     st = lift_step(st)
     assert st.k == 2
-    xcoef = st.basis[1].coeff(1, 0)
+    e = st.elements[1]
+    assert e.lt == (4, 0)
+    xcoef = e.c[st.staircase.index((1, 0))]
     assert xcoef == 24  # -1/2 mod 49
     assert (2 * 24) % 49 == 49 - 1
 
@@ -163,9 +166,12 @@ def test_lift_e_example():
 def test_lift_integer_basis_fixed():
     F = ppl("y - x\nx^2")
     st = init_lift(F, 5, _modular_gb(F, 5))
+    assert st.staircase == [(0, 0), (1, 0)]
     for _ in range(3):
         st = lift_step(st)
-        assert gb_equal([b.map_coeffs(int, ZZ) for b in st.basis], ppl("y + %d*x\nx^2" % (st.ring.modulus - 1)))
+        # y + (p^k - 1)*x and x^2: the basis y - x, x^2 mod p^k
+        assert [(e.lt, e.c) for e in st.elements] == [
+            ((0, 1), [0, 5 ** st.k - 1]), ((2, 0), [0, 0])]
 
 
 def test_lift_p2_divides_denominator():
@@ -208,10 +214,11 @@ def test_nested_precision_law():
         for _ in range(3):
             nxt = lift_step(prev)
             seen += _zeros_above_lt(nxt, len(G1))
-            m_prev = prev.ring.modulus
-            for a, b in zip(nxt.basis, prev.basis):
-                for mon, coef in b.terms():
-                    assert a.coeff(*mon) % m_prev == coef
+            m_prev = p ** prev.k
+            for a, b in zip(nxt.elements, prev.elements):
+                assert a.lt == b.lt
+                assert all(0 <= x < p ** nxt.k for x in a.c)
+                assert [x % m_prev for x in a.c] == b.c
             prev = nxt
     assert seen  # one system has a staircase monomial above a leading term
 
@@ -222,11 +229,15 @@ def test_fixed_point_law():
     st = lift_step(lift_step(st))
     rec = reconstruct_basis(st)
     assert rec is not None
-    ring = st.ring
-    from bgb.rings import rational_mod
-    for g, gk in zip(rec, st.basis):
-        back = g.map_coeffs(lambda c: rational_mod(c, ring), ring)
-        assert back == gk
+    m = 7 ** st.k
+    for g, e in zip(rec, st.elements):
+        # g reduces mod p^k to lt + sum c_m * m, term by term
+        coeffs = dict(zip(st.staircase, e.c))
+        coeffs[e.lt] = 1
+        assert all(mon in coeffs for mon, _ in g.terms())
+        for mon, c in coeffs.items():
+            q = g.coeff(*mon)
+            assert q.numerator * pow(q.denominator, -1, m) % m == c
 
 
 def _box_search(alpha, p, k):
@@ -292,16 +303,17 @@ def test_reconstruction_threshold_law():
         assert rational_reconstruct(alpha, p, k) == (eta, theta)
 
 
-def _euclid_basis(basis, p, k):
+def _euclid_basis(st):
     """reconstruct_basis as one Euclid run per coefficient: the reference."""
     out = []
-    for g in basis:
-        terms = {}
-        for mon, coef in g.terms():
-            rec = rational_reconstruct(int(coef), p, k)
-            if rec is None:
-                return None
-            terms[mon] = Fraction(*rec)
+    for e in st.elements:
+        terms = {e.lt: 1}
+        for mon, coef in zip(st.staircase, e.c):
+            if coef:
+                rec = rational_reconstruct(coef, st.p, st.k)
+                if rec is None:
+                    return None
+                terms[mon] = Fraction(*rec)
         out.append(BiPoly.from_terms(QQ, terms))
     return out
 
@@ -328,17 +340,19 @@ def test_reconstruct_basis_matches_euclid():
             for kind in ("shared", "mixed", "random"):
                 for _ in range(12):
                     den = coprime_den()
-                    terms = {}
+                    c = []
                     for i in range(rng.randint(1, 8)):
                         if kind == "random" or (kind == "mixed" and rng.randrange(2)):
-                            terms[(i, 0)] = rng.randrange(m)
+                            c.append(rng.randrange(m))
                         else:
-                            terms[(i, 0)] = fraction_residue(
-                                den if rng.randrange(4) else coprime_den())
-                    basis = [BiPoly.from_terms(Zpk(p, k), terms)]
-                    st = LiftState(p=p, k=k, basis=basis, staircase=[],
-                                   trivial=False)
-                    assert reconstruct_basis(st) == _euclid_basis(basis, p, k)
+                            c.append(fraction_residue(
+                                den if rng.randrange(4) else coprime_den()))
+                    # one element x^n + sum c_i x^i over the staircase 1..x^(n-1)
+                    stair = [(i, 0) for i in range(len(c))]
+                    elem = _ElementSystem((len(c), 0), [], c, [])
+                    st = LiftState(p=p, k=k, staircase=stair, trivial=False,
+                                   elements=[elem])
+                    assert reconstruct_basis(st) == _euclid_basis(st)
 
 
 def test_verify_with_witness():
