@@ -7,7 +7,9 @@ bases through the Hermite engine in Noether position, changes coordinates
 back, lifts the first basis p-adically, and accepts a rational
 reconstruction only when it reduces to the second basis.  Random failures
 (singular gamma, non-Noether reduction, unlucky primes, witness rejection)
-are converted into bounded resampling rounds.
+are converted into bounded resampling rounds; a round also ends when the
+witness rejects the same reconstruction at two successive precisions,
+since the witness prime is then most likely unlucky.
 """
 
 from __future__ import annotations
@@ -350,7 +352,7 @@ def _run(F, cfg):
             continue
         timings["lifting"] += time.perf_counter() - t0
         iterations = 0
-        accepted = None
+        accepted = rejected = None
         while state.k <= k_cap:
             t0 = time.perf_counter()
             try:
@@ -365,6 +367,7 @@ def _run(F, cfg):
             G_rec = lifting.reconstruct_basis(state)
             timings["reconstruction"] += time.perf_counter() - t0
             if G_rec is None:
+                rejected = None
                 continue
             t0 = time.perf_counter()
             ok = lifting.verify_with_witness(G_rec, pp, G1p)
@@ -372,6 +375,12 @@ def _run(F, cfg):
             if ok:
                 accepted = G_rec
                 break
+            if G_rec == rejected:
+                # a basis fixed under doubling that the witness rejects:
+                # p' is most likely unlucky, and more lifting will not help
+                failures.append(("luck", "witness rejects a stable reconstruction"))
+                break
+            rejected = G_rec
         if accepted is None:
             if state.k > k_cap:
                 failures.append(("luck", "precision cap reached without verification"))

@@ -7,14 +7,17 @@ holds exactly one such element per leading term, the reduced basis element,
 so c comes out zero above lt(g) by itself.  The system matrix has integer
 entries fixed once; init_lift echelonizes it modulo p, together with one
 consistency system over the staircase, and every doubling step runs a
-Hensel/Dixon solve (Dixon, Numer. Math. 1982) of the exact residual
-against that single factorization, digit by digit, for every element.  A
-digit that fails its consistency rows means the prime is unlucky and the
-caller restarts with fresh primes.
+Hensel/Dixon solve (Dixon, Numer. Math. 1982) against that single
+factorization, digit by digit: each digit is one solve for the whole basis,
+whose right-hand side holds the exact residuals of all elements as its
+columns.  A digit that fails its consistency rows means the prime is
+unlucky and the caller restarts with fresh primes.
 
 The lifted basis exists only as these integer vectors: each element is its
 leading term plus sum c_m * m over the standard monomials m, with c
-canonical mod p^k, and reconstruct_basis reads the basis over Q from c.
+canonical mod p^k, and reconstruct_basis reads the basis over Q from c by
+rational reconstruction, an extended Euclid run that takes Lehmer's
+single-precision steps while the remainders are long.
 
 All mod-p linear algebra goes through one kernel, _ModRREF: a single numpy
 elimination whose dtype is chosen from p, int64 for p < 2^31 (the practical
@@ -34,6 +37,7 @@ from .rings import QQ, BiPoly, GF, rational_mod, NonInvertibleError
 
 _INT64_MAX_P = 1 << 31   # below it, a product of two residues fits int64
 _MAX_CELLS = 3_000_000
+_LEHMER_BITS = 2000      # rational_reconstruct takes Lehmer steps above it
 
 
 class UnluckyPrimeError(RuntimeError):
@@ -96,38 +100,40 @@ class _ModRREF:
         self.pivcols = pivcols
         self.T = A[:, C:]
 
-    def dot(self, M, vec):
-        """M . vec mod p for M with entries in [0, p) and this dtype.  In
-        int64 vec is split into 16-bit halves, which keeps every partial sum
-        below 2^63 while M has fewer than 2^16 columns (a T that wide would
-        hold 2^32 words)."""
+    def dot(self, M, X):
+        """M . X mod p for M with entries in [0, p) and this dtype, and X an
+        integer vector or matrix (entries of any size and sign).  In int64 X
+        is split into 16-bit halves, which keeps every partial sum below
+        2^63 while M has fewer than 2^16 columns (a T that wide would hold
+        2^32 words)."""
         p = self.p
-        v = (np.array(vec, dtype=object) % p).astype(self.dtype)
+        if not (isinstance(X, np.ndarray) and X.dtype == self.dtype):
+            X = np.array(X, dtype=object)
+        X = (X % p).astype(self.dtype)
         if self.dtype is object:
-            return M @ v % p
-        return (M @ (v >> 16) % p * 65536 + M @ (v & 0xFFFF)) % p
+            return M @ X % p
+        return (M @ (X >> 16) % p * 65536 + M @ (X & 0xFFFF)) % p
 
-    def transform(self, vec):
-        """T . vec mod p as a list of ints."""
-        return self.dot(self.T, vec).tolist()
+    def transform(self, X):
+        """T . X mod p, as an array of this dtype."""
+        return self.dot(self.T, X)
 
-    def solve_transformed(self, u):
-        """Solution x of A x = rhs given u = T . rhs; None if inconsistent."""
-        p = self.p
-        if any(x % p for x in u[self.rank:]):
-            return None
-        x = [0] * self.C
-        for i, c in enumerate(self.pivcols):
-            x[c] = u[i] % p
-        return x
+    def solve_transformed(self, U):
+        """Solutions X of A X = RHS, column by column, given U = T . RHS
+        reduced mod p: returns (X, ok), where ok says which columns are
+        consistent (X is meaningless in the others)."""
+        ok = ~(U[self.rank:] != 0).any(axis=0)
+        X = np.zeros((self.C,) + U.shape[1:], dtype=self.dtype)
+        X[self.pivcols] = U[:self.rank]
+        return X, ok
 
 
 @dataclass
 class _ElementSystem:
     lt: tuple
-    w: list               # cofactor unknowns, canonical mod p^k
     c: list               # staircase unknowns, canonical mod p^k
-    rh: list              # exact integer residual (e_lt - M w + C c) / p^k
+    rh: list              # exact integer residual (e_lt - M w + C c) / p^k;
+                          # the cofactors w are not kept
 
 
 class _MembershipSystem:
@@ -136,7 +142,9 @@ class _MembershipSystem:
     coefficients of x^a y^b f_j, rows are monomials) and C holds the unit
     columns of the standard monomials.  Its solution is the element of the
     ideal with leading term lt whose other terms lie on the staircase: the
-    reduced basis element, so c vanishes above lt by itself."""
+    reduced basis element, so c vanishes above lt by itself.  All elements
+    share one factorization, and solve_digits takes one right-hand side per
+    element as the columns of a matrix."""
 
     def __init__(self, gens, p, D_w, X, stair):
         self.p = p
@@ -163,19 +171,19 @@ class _MembershipSystem:
     def row_of(self, mon):
         return mon[1] * self.NX + mon[0]
 
-    def solve_digit(self, rh):
-        """Solve M w - C c = rh mod p: c from the consistency rows of
-        u = T . rh, then w from its pivot rows once the staircase columns are
-        folded in.  Returns (w, c), or None when rh is inconsistent."""
-        rref = self.rref
-        u = rref.transform(rh)
-        c = self.small.solve_transformed(
-            self.small.transform([-x for x in u[rref.rank:]]))
-        if c is None:
-            return None
-        up = (np.array(u, dtype=rref.dtype) + rref.dot(self.tcols, c)) % self.p
-        w = rref.solve_transformed(up.tolist())
-        return None if w is None else (w, c)
+    def solve_digits(self, rhs):
+        """Solve M w - C c = rh mod p for every rh in rhs (exact integer
+        vectors of length R) at once: c from the consistency rows of
+        U = T . RH, then w from its pivot rows once the staircase columns
+        are folded in.  Returns one (w, c) per rh, None where rh is
+        inconsistent."""
+        rref, small, p = self.rref, self.small, self.p
+        U = rref.transform(np.array([[x % p for x in rh] for rh in rhs],
+                                    dtype=rref.dtype).reshape(len(rhs), self.R).T)
+        Cs, ok_c = small.solve_transformed(small.transform(-U[rref.rank:]))
+        Ws, ok_w = rref.solve_transformed((U + rref.dot(self.tcols, Cs)) % p)
+        return [(w, c) if ok else None for w, c, ok in
+                zip(Ws.T.tolist(), Cs.T.tolist(), (ok_c & ok_w).tolist())]
 
     def residual(self, rh, w, c):
         """(rh - M w + C c) / p, exactly; raises if p does not divide it."""
@@ -238,19 +246,21 @@ def init_lift(F, p, G1):
         sys = _MembershipSystem(F, p, D_w, X, stair)
         if sys.small.rank < len(stair):
             continue  # window too narrow to pin the staircase; escalate
-        elements = []
+        e_lts = []
         for g in G1:
-            lt = g.lt()[0]
             e_lt = [0] * sys.R
-            e_lt[sys.row_of(lt)] = 1
-            sol = sys.solve_digit(e_lt)
+            e_lt[sys.row_of(g.lt()[0])] = 1
+            e_lts.append(e_lt)
+        elements = []
+        for g, e_lt, sol in zip(G1, e_lts, sys.solve_digits(e_lts)):
             if sol is None:
                 break  # window too narrow to hold the element; escalate
             w, c = sol
             if any(g.coeff(*mon) != coef for mon, coef in zip(stair, c)):
                 raise UnluckyPrimeError(
                     "solved element disagrees with the given modular basis")
-            elements.append(_ElementSystem(lt, w, c, sys.residual(e_lt, w, c)))
+            elements.append(_ElementSystem(g.lt()[0], c,
+                                           sys.residual(e_lt, w, c)))
         else:
             return LiftState(p=p, k=1, staircase=stair, trivial=False,
                              sys=sys, elements=elements)
@@ -259,51 +269,78 @@ def init_lift(F, p, G1):
 
 def lift_step(state):
     """Advance from precision k to 2k: Dixon-solve k more p-adic digits of
-    every element's (w, c).  The new c agrees with the old one mod p^k
+    every element's c, one solve per digit for the whole basis, and add
+    them to c once at the end.  The new c agrees with the old one mod p^k
     (nested-precision law)."""
     if state.trivial:
         return LiftState(p=state.p, k=2 * state.k, staircase=[], trivial=True)
     p, k = state.p, state.k
     sys = state.sys
+    rhs = [e.rh for e in state.elements]
+    digits = []               # digits[i][j]: digit i of element j's c
+    for _ in range(k):
+        sols = sys.solve_digits(rhs)
+        if None in sols:
+            raise UnluckyPrimeError("digit inconsistent mod %d" % p)
+        rhs = [sys.residual(rh, w, c) for rh, (w, c) in zip(rhs, sols)]
+        digits.append([c for _, c in sols])
     pk = p ** k
-    mod2 = pk * pk
     new_elements = []
-    for elem in state.elements:
-        rh = elem.rh
-        Dw = [0] * sys.W
-        Dc = [0] * len(elem.c)
-        scale = 1
-        for _ in range(k):
-            sol = sys.solve_digit(rh)
-            if sol is None:
-                raise UnluckyPrimeError("digit inconsistent mod %d" % p)
-            dw, dc = sol
-            rh = sys.residual(rh, dw, dc)
-            for j, x in enumerate(dw):
-                if x:
-                    Dw[j] += scale * x
-            for j, x in enumerate(dc):
-                if x:
-                    Dc[j] += scale * x
-            scale *= p
+    for j, elem in enumerate(state.elements):
+        dc = [0] * len(elem.c)
+        for row in reversed(digits):
+            dc = [x * p + d for x, d in zip(dc, row[j])]
         new_elements.append(_ElementSystem(
-            elem.lt,
-            [(a + pk * b) % mod2 for a, b in zip(elem.w, Dw)],
-            [(a + pk * b) % mod2 for a, b in zip(elem.c, Dc)],
-            rh))
+            elem.lt, [a + pk * b for a, b in zip(elem.c, dc)], rhs[j]))
     return LiftState(p=p, k=2 * k, staircase=state.staircase, trivial=False,
                      sys=sys, elements=new_elements)
+
+
+def _lehmer_cosequence(r0, r1):
+    """The matrix (A, B, C, D) of the Euclid steps on r0 > r1 that the
+    62-bit leading parts of both determine (Knuth, TAOCP vol. 2, 4.5.2,
+    Algorithm L): a quotient is taken only when both bounds on the leading
+    parts give it, so each one is the quotient of the full remainders.
+    B == 0 when not even the first quotient is certain."""
+    shift = max(r0.bit_length() - 62, 0)
+    u, v = r0 >> shift, r1 >> shift
+    A, B, C, D = 1, 0, 0, 1
+    while v + C and v + D:
+        q = (u + A) // (v + C)
+        if q != (u + B) // (v + D):
+            break
+        A, B, C, D = C, D, A - q * C, B - q * D
+        u, v = v, u - q * v
+    return A, B, C, D
 
 
 def rational_reconstruct(alpha, p, k):
     """The unique (eta, theta) with |eta| < p^(k/2)/2, 0 < theta <= p^(k/2),
     gcd(theta, p) = 1, gcd(eta, theta) = 1 and eta = theta * alpha mod p^k;
-    None when no such pair exists."""
+    None when no such pair exists.
+
+    The extended Euclid run on (p^k, alpha) stops at the first remainder
+    below s/2.  While the remainders are long it takes Lehmer's batches of
+    single-precision steps, each applied only when its last remainder is
+    still at least s/2, so the run stops at the same index as the plain
+    loop and ends in the same (remainder, cofactor) pair."""
     m = p ** k
     alpha %= m
     s = math.isqrt(m)  # p^(k/2) for even k
     r0, r1 = m, alpha
     t0, t1 = 0, 1
+    while 2 * r1 >= s and r1.bit_length() > _LEHMER_BITS:
+        A, B, C, D = _lehmer_cosequence(r0, r1)
+        if B == 0:
+            q = r0 // r1
+            r0, r1 = r1, r0 - q * r1
+            t0, t1 = t1, t0 - q * t1
+            continue
+        n1 = C * r0 + D * r1
+        if 2 * n1 < s:
+            break  # the batch passes the stopping index: finish step by step
+        r0, r1 = A * r0 + B * r1, n1
+        t0, t1 = A * t0 + B * t1, C * t0 + D * t1
     while 2 * r1 >= s:
         q = r0 // r1
         r0, r1 = r1, r0 - q * r1

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from bgb import bounds, cli, oracle
+from bgb import bounds, cli, lifting, oracle
 from bgb.driver import (DriverConfig, ParseError, PositiveDimensionalError,
                         RetriesExhaustedError, _pick_primes, emit_report,
                         groebner_basis_main, parse_system,
@@ -109,6 +109,35 @@ def test_forced_bad_prime_never_accepts():
     with pytest.raises((RetriesExhaustedError, PositiveDimensionalError)):
         groebner_basis_main(F, DriverConfig(seed=1, forced_p=2, forced_p2=101,
                                             max_rounds=4, **CFG))
+
+
+def test_unlucky_witness_ends_the_round(monkeypatch):
+    # 103 divides a denominator of this basis over Q, so the witness rejects
+    # the reconstruction at every precision; each round must end once the
+    # same basis is rejected twice, not lift on to the precision cap
+    F = ppl("-3*y^3 - 3*x*y^2 + y^2 - 4*x^2*y - 3*x*y + 3*y + 7*x^3 - 2*x^2"
+            " + x - 6\n2*y^3 + 6*x*y^2 - 7*y^2 - 7*x^2*y + 4*x*y - 6*y"
+            " - 10*x^3 + 7*x^2 - 3*x - 5")
+    steps = []
+    init_lift, lift_step = lifting.init_lift, lifting.lift_step
+
+    def counting_init(*args):
+        steps.append(0)
+        return init_lift(*args)
+
+    def counting_step(state):
+        steps[-1] += 1
+        assert steps[-1] <= 8, "the round lifts on past a stable rejection"
+        return lift_step(state)
+
+    monkeypatch.setattr(lifting, "init_lift", counting_init)
+    monkeypatch.setattr(lifting, "lift_step", counting_step)
+    with pytest.raises(RetriesExhaustedError) as ei:
+        groebner_basis_main(F, DriverConfig(seed=2070696857, forced_p=101,
+                                            forced_p2=103))
+    assert ei.value.failures
+    assert all(kind == "luck" for kind, _ in ei.value.failures)
+    assert steps and max(steps) <= 8
 
 
 def test_good_prime_has_half_coefficient():

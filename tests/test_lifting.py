@@ -2,13 +2,14 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from bgb import oracle
-from bgb.lifting import (_MAX_CELLS, LiftState, UnluckyPrimeError, _ModRREF,
-                         _ElementSystem, init_lift, lift_step,
-                         rational_reconstruct, reconstruct_basis, staircase_of,
-                         verify_with_witness)
+from bgb import lifting, oracle
+from bgb.lifting import (_LEHMER_BITS, _MAX_CELLS, LiftState,
+                         UnluckyPrimeError, _ElementSystem, _MembershipSystem,
+                         _ModRREF, init_lift, lift_step, rational_reconstruct,
+                         reconstruct_basis, staircase_of, verify_with_witness)
 from bgb.rings import QQ, GF, BiPoly, reduce_mod
 from conftest import gb_equal, pp, ppl, random_degree_system
 
@@ -85,21 +86,41 @@ def _random_matrix(rng, R, C, rank, p):
     return rows
 
 
+def _kernel_solve(kernel, u):
+    """The kernel's solve_transformed on one vector, as the reference gives
+    it: a list, or None when inconsistent."""
+    x, ok = kernel.solve_transformed(np.array(u, dtype=kernel.dtype))
+    return x.tolist() if ok else None
+
+
 def _assert_kernel_matches(rng, rows, p, vectors=3):
     got, want = _ModRREF(rows, p), _RefRREF(rows, p)
     assert (got.rank, got.pivcols) == (want.rank, want.pivcols)
     assert got.T.tolist() == want.T
+    columns = []
     for _ in range(vectors):
         vec = [rng.randint(-(1 << 80), 1 << 80) for _ in range(want.R)]
         u = want.transform(vec)
-        assert got.transform(vec) == u
-        assert got.solve_transformed(u) == want.solve_transformed(u)
+        assert got.transform(vec).tolist() == u
+        assert _kernel_solve(got, u) == want.solve_transformed(u)
         # a right-hand side in the span is consistent
         x = [rng.randrange(p) for _ in range(want.C)]
         rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
         u = want.transform(rhs)
-        assert got.transform(rhs) == u
-        assert got.solve_transformed(u) == want.solve_transformed(u) is not None
+        assert got.transform(rhs).tolist() == u
+        assert _kernel_solve(got, u) == want.solve_transformed(u) is not None
+        columns += [vec, rhs]
+    # the same vectors as the columns of one matrix, solved together
+    U = got.transform(np.array(columns, dtype=object).reshape(
+        len(columns), want.R).T)
+    X, ok = got.solve_transformed(U)
+    for j, vec in enumerate(columns):
+        u = want.transform(vec)
+        assert U[:, j].tolist() == u
+        want_x = want.solve_transformed(u)
+        assert bool(ok[j]) == (want_x is not None)
+        if want_x is not None:
+            assert X[:, j].tolist() == want_x
 
 
 @pytest.mark.parametrize("p", [2, 7, (1 << 31) - 1, (1 << 61) - 1, (1 << 100) - 15])
@@ -181,6 +202,109 @@ def test_lift_p2_divides_denominator():
         st = init_lift(F, 2, G1)
         for _ in range(4):
             st = lift_step(st)
+
+
+class _RefDixon:
+    """Per-element Dixon lift on the reference kernel: every element solves
+    its own membership system, one digit at a time, against the
+    factorization of the lift's matrix [M | -C]."""
+
+    def __init__(self, sys, p):
+        self.p, self.R = p, sys.R
+        self.cols, self.stair_rows = sys.cols, sys.stair_rows
+        rows = [[0] * len(sys.cols) for _ in range(sys.R)]
+        for j, col in enumerate(sys.cols):
+            for r, coef in col:
+                rows[r][j] = coef
+        self.big = _RefRREF(rows, p)
+        self.tcols = [[row[r] for r in self.stair_rows] for row in self.big.T]
+        self.small = _RefRREF(self.tcols[self.big.rank:], p)
+
+    def digit(self, rh):
+        """One digit c of the solution of M w - C c = rh mod p, and the
+        exact residual (rh - M w + C c) / p."""
+        big, small, p = self.big, self.small, self.p
+        u = big.transform(rh)
+        c = small.solve_transformed(small.transform([-x for x in u[big.rank:]]))
+        assert c is not None
+        up = [(x + sum(t * y for t, y in zip(trow, c))) % p
+              for x, trow in zip(u, self.tcols)]
+        w = big.solve_transformed(up)
+        assert w is not None
+        out = list(rh)
+        for col, wj in zip(self.cols, w):
+            for r, coef in col:
+                out[r] -= coef * wj
+        for r, cm in zip(self.stair_rows, c):
+            out[r] += cm
+        assert all(x % p == 0 for x in out)
+        return c, [x // p for x in out]
+
+    def lift(self, row, k):
+        """c mod p^k and the exact residual after k digits, for the element
+        whose leading term has the given row."""
+        rh = [0] * self.R
+        rh[row] = 1
+        c = [0] * len(self.stair_rows)
+        for i in range(k):
+            dc, rh = self.digit(rh)
+            c = [a + self.p ** i * b for a, b in zip(c, dc)]
+        return c, rh
+
+
+@pytest.mark.parametrize("p", [(1 << 31) - 1, (1 << 61) - 1])
+def test_batched_lift_matches_per_element_dixon(p):
+    # one solve per digit for the whole basis gives every element the c and
+    # the exact residual of its own Dixon lift, in int64 and in object dtype
+    rng = random.Random(p % 997)
+    systems = [ppl("2*y^2 - x\nx^2 - y")]
+    systems += [random_degree_system(rng, t, 3)[0] for t in (2, 2, 3)]
+    for F in systems:
+        st = init_lift(F, p, _modular_gb(F, p))
+        assert st.sys.rref.dtype is (np.int64 if p < 1 << 31 else object)
+        st = lift_step(lift_step(st))
+        ref = _RefDixon(st.sys, p)
+        for e in st.elements:
+            c, rh = ref.lift(st.sys.row_of(e.lt), st.k)
+            assert (e.c, e.rh) == (c, rh)
+
+
+def test_init_lift_outcomes_in_element_order(monkeypatch):
+    # elements are judged in order: an inconsistent one escalates the window
+    # before a later one can disagree with G1, and one that disagrees raises
+    # before a later inconsistent one can escalate
+    F = ppl("2*y^2 - x\nx^2 - y")
+    p = 7
+    G1 = _modular_gb(F, p)
+    want = [e.c for e in init_lift(F, p, G1).elements]
+    solve = _MembershipSystem.solve_digits
+
+    def rig(outcomes):
+        calls = []
+
+        def solve_digits(self, rhs):
+            sols = solve(self, rhs)
+            if not calls:  # the first window level only
+                sols = [f(sol) for f, sol in zip(outcomes, sols)]
+            calls.append(self.R)
+            return sols
+        monkeypatch.setattr(_MembershipSystem, "solve_digits", solve_digits)
+        return calls
+
+    def inconsistent(sol):
+        return None
+
+    def disagreeing(sol):
+        return sol[0], [(x + 1) % p for x in sol[1]]
+
+    calls = rig([inconsistent, disagreeing])
+    st = init_lift(F, p, G1)
+    assert len(calls) == 2 and calls[1] > calls[0]
+    assert [e.c for e in st.elements] == want
+    calls = rig([disagreeing, inconsistent])
+    with pytest.raises(UnluckyPrimeError, match="disagrees"):
+        init_lift(F, p, G1)
+    assert len(calls) == 1
 
 
 def _zeros_above_lt(st, size):
@@ -303,6 +427,59 @@ def test_reconstruction_threshold_law():
         assert rational_reconstruct(alpha, p, k) == (eta, theta)
 
 
+def _ref_rational_reconstruct(alpha, p, k):
+    """The plain extended Euclid loop: the reference rational_reconstruct
+    must match exactly, Lehmer steps and all."""
+    m = p ** k
+    alpha %= m
+    s = math.isqrt(m)
+    r0, r1 = m, alpha
+    t0, t1 = 0, 1
+    while 2 * r1 >= s:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    eta, theta = (r1, t1) if t1 > 0 else (-r1, -t1)
+    if theta == 0 or theta > s or 2 * abs(eta) >= s:
+        return None
+    if math.gcd(theta, p) != 1 or math.gcd(eta, theta) != 1:
+        return None
+    return eta, theta
+
+
+@pytest.mark.parametrize("p,k", [((1 << 31) - 1, 64), ((1 << 31) - 1, 128),
+                                 ((1 << 31) - 1, 512), ((1 << 31) - 1, 1024),
+                                 (2, 1024), (2, 2048), (2, 4096), (3, 2048),
+                                 (3, 4096)])
+def test_rational_reconstruct_matches_plain_euclid(p, k, monkeypatch):
+    # moduli above _LEHMER_BITS reach the Lehmer branch; fractions just
+    # inside and just outside the box stop the Euclid run near the end of
+    # a batch
+    batches = []
+    cosequence = lifting._lehmer_cosequence
+    monkeypatch.setattr(lifting, "_lehmer_cosequence",
+                        lambda r0, r1: batches.append(1) or cosequence(r0, r1))
+    rng = random.Random(k * 7 + p % 1000)
+    m = p ** k
+    s = math.isqrt(m)
+    found = 0
+    for i in range(24):
+        if i % 3 == 2:
+            alpha = rng.randrange(m)
+        else:
+            while True:
+                theta = s - rng.randrange(8) if i % 2 else rng.randint(1, s)
+                if theta % p:
+                    break
+            eta = rng.choice([-1, 1]) * (s // 2 + rng.randint(-2, 1))
+            alpha = eta * pow(theta, -1, m) % m
+        want = _ref_rational_reconstruct(alpha, p, k)
+        assert rational_reconstruct(alpha, p, k) == want
+        found += want is not None
+    assert 0 < found < 24
+    assert bool(batches) == (m.bit_length() > _LEHMER_BITS)
+
+
 def _euclid_basis(st):
     """reconstruct_basis as one Euclid run per coefficient: the reference."""
     out = []
@@ -310,7 +487,7 @@ def _euclid_basis(st):
         terms = {e.lt: 1}
         for mon, coef in zip(st.staircase, e.c):
             if coef:
-                rec = rational_reconstruct(coef, st.p, st.k)
+                rec = _ref_rational_reconstruct(coef, st.p, st.k)
                 if rec is None:
                     return None
                 terms[mon] = Fraction(*rec)
@@ -349,7 +526,7 @@ def test_reconstruct_basis_matches_euclid():
                                 den if rng.randrange(4) else coprime_den()))
                     # one element x^n + sum c_i x^i over the staircase 1..x^(n-1)
                     stair = [(i, 0) for i in range(len(c))]
-                    elem = _ElementSystem((len(c), 0), [], c, [])
+                    elem = _ElementSystem((len(c), 0), c, [])
                     st = LiftState(p=p, k=k, staircase=stair, trivial=False,
                                    elements=[elem])
                     assert reconstruct_basis(st) == _euclid_basis(st)
